@@ -257,8 +257,14 @@ class TabulatedNoise(NoiseSpec):
     """Even density given by values on the M-point grid (piecewise constant).
 
     The carrier density is constant on cells [theta_m - pi/M, theta_m + pi/M),
-    so its cell masses equal the grid masses exactly. Fourier coefficients are
-    the grid (DFT) coefficients, consistent with ``fourier_coeffs``.
+    so its cell masses equal the grid masses exactly. ``fourier`` returns the
+    grid (DFT) coefficients, consistent with ``fourier_coeffs``; the exact
+    oracle and the closed forms use them.
+
+    ``sample`` draws from the piecewise-constant carrier, whose coefficients
+    are not the grid ones: E[exp(-i k X)] = fourier(k) * sinc(k / M), with
+    sinc(x) = sin(pi x) / (pi x). A particle run with this noise therefore
+    sees slightly weaker high modes than ``fourier`` reports.
     """
 
     values: np.ndarray

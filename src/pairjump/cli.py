@@ -157,12 +157,12 @@ def cmd_simulate(cfg, out: Path, config_hash: str, workers: int) -> int:
                 fh.write(json.dumps({"replica": r, "t": float(t),
                                      "state": result.snapshots[r, ti].tolist()}) + "\n")
 
-    if replicas >= 2:
-        summary = summarize(result, kmax=kmax)
-        _write_csv(out / "summary.csv", config_hash, SUMMARY_COLUMNS,
-                   summary_rows(summary))
-    else:
-        _write_csv(out / "summary.csv", config_hash, SUMMARY_COLUMNS, [])
+    # mode statistics need angles and at least two replicas; kac states are
+    # velocities, so its summary is the header alone
+    rows = []
+    if replicas >= 2 and kind != "kac":
+        rows = summary_rows(summarize(result, kmax=kmax))
+    _write_csv(out / "summary.csv", config_hash, SUMMARY_COLUMNS, rows)
     return 0
 
 

@@ -14,14 +14,32 @@ changes state.
 Simulation is event-driven and exact (no time discretization): waiting times
 are Exp(N), and each replica owns a counter-based generator derived from
 (master_seed, replica_index), so results are reproducible and independent of
-scheduling. Within a replica the draw order is fixed: initial state first,
-then per event waiting time, pair index, and model draws.
+scheduling.
+
+``simulate`` is the scalar reference: after whatever the caller drew from
+the generator, it draws per event the waiting time, the pair index and the
+model draws, in that order; ``replay`` applies its event log.
+
+``simulate_ensemble`` follows draw-order contract v2. Replica r, on
+``replica_rng(master_seed, r)``, draws its initial state first, then events
+in blocks of B = EVENT_BLOCK. Each block draws, in this order:
+
+* ``exponential(1/N, B)`` waiting times;
+* ``integers(N(N-1)/2, B)`` pair indices, decoded lexicographically;
+* the model draws: cl ``integers(2, B)`` coins (1: i leads), then
+  ``noise.sample(rng, B)``; bdg ``noise.sample(rng, 2B)``, event-major
+  (w_i, w_j); kac ``noise.sample(rng, B)`` rotation angles.
+
+Event times are the running sum of the waiting times. The first time past
+t_end ends the replica, and the rest of that block is discarded. A
+checkpoint row is the state after every event at or before the checkpoint.
+Replica r of an ensemble is therefore a trajectory of the same law as
+``simulate`` on ``replica_rng(master_seed, r)``, but not the same trajectory.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -44,11 +62,10 @@ __all__ = [
     "simulate",
     "replay",
     "simulate_ensemble",
-    "write_snapshots",
-    "read_snapshots",
 ]
 
 MODEL_KINDS = ("bdg", "cl", "kac")
+EVENT_BLOCK = 1024  # events drawn per replica at a time by simulate_ensemble
 
 
 @dataclass(frozen=True)
@@ -314,74 +331,144 @@ def simulate_ensemble(model: ModelSpec, n_particles: int, t_end: float,
                       checkpoints: Sequence[float], n_replicas: int, master_seed: int,
                       initial: Union[GridDensity, NoiseSpec, None] = None,
                       workers: int = 1) -> EnsembleResult:
-    """Independent replicas with per-replica seeded streams.
+    """Independent replicas with per-replica seeded streams (draw-order contract v2).
 
     initial = None draws uniform angles (or a uniform point on the energy
     sphere for kac); otherwise each replica starts from N i.i.d. draws from
-    ``initial``. Output is identical for any ``workers`` value.
+    ``initial``. All replicas advance together, one event index at a time;
+    ``workers > 1`` splits them into contiguous blocks run in worker
+    processes. Output is identical for any ``workers`` value.
     """
     if n_replicas < 1:
         raise ValueError("n_replicas must be >= 1")
+    if t_end < 0.0:
+        raise ValueError("t_end must be nonnegative")
     cps = np.asarray(checkpoints, dtype=float)
-    snapshots = np.empty((n_replicas, cps.size, n_particles))
-    n_events = np.zeros(n_replicas, dtype=np.int64)
+    if cps.size and (np.any(np.diff(cps) < 0.0) or cps[0] < 0.0 or cps[-1] > t_end):
+        raise ValueError("checkpoints must be nondecreasing and lie in [0, t_end]")
 
-    if workers > 1:
+    n_jobs = max(1, min(workers, n_replicas))
+    cuts = [n_replicas * k // n_jobs for k in range(n_jobs + 1)]
+    jobs = [(model, n_particles, t_end, cps, master_seed, initial, lo, hi)
+            for lo, hi in zip(cuts, cuts[1:])]
+    if n_jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        args = [(model, n_particles, t_end, cps, master_seed, initial, r)
-                for r in range(n_replicas)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for r, states, count in pool.map(_replica_job, args, chunksize=8):
-                snapshots[r] = states
-                n_events[r] = count
+        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+            parts = list(pool.map(_replica_job, jobs))
+        snapshots = np.concatenate([snaps for snaps, _ in parts])
+        n_events = np.concatenate([counts for _, counts in parts])
     else:
-        for r in range(n_replicas):
-            _, states, count = _replica_job(
-                (model, n_particles, t_end, cps, master_seed, initial, r))
-            snapshots[r] = states
-            n_events[r] = count
+        snapshots, n_events = _replica_job(jobs[0])
     return EnsembleResult(times=cps, snapshots=snapshots, n_events=n_events)
 
 
 def _replica_job(args):
-    model, n_particles, t_end, cps, master_seed, initial, r = args
-    rng = replica_rng(master_seed, r)
-    x0 = _draw_initial(model, initial, n_particles, rng)
-    res = simulate(model, x0, t_end, rng, checkpoints=cps)
-    return r, res.states, res.n_events
+    """Replicas lo..hi-1 of an ensemble, advanced in lockstep by event index.
+
+    Each block of EVENT_BLOCK events per live replica is drawn into
+    event-major (B, R_alive) arrays whose columns are sorted by the number of
+    events the replica keeps from the block, so the replicas still running at
+    event index e are a prefix of row e. Row e is then one gather, update and
+    scatter on the flat (R * N) state. The update uses only correctly rounded
+    operations and ``%``, and kac's cos/sin come from each replica's own
+    draws, so a replica's rows do not depend on which replicas share its run.
+    """
+    model, n, t_end, cps, master_seed, initial, lo, hi = args
+    rngs = [replica_rng(master_seed, r) for r in range(lo, hi)]
+    n_rep = len(rngs)
+    state = np.empty((n_rep, n))
+    for r, rng in enumerate(rngs):
+        state[r] = _check_initial(model, _draw_initial(model, initial, n, rng))
+    flat = state.reshape(-1)
+    snapshots = np.empty((n_rep, cps.size, n))
+    n_events = np.zeros(n_rep, dtype=np.int64)
+
+    B = EVENT_BLOCK
+    offsets = _pair_offsets(n)
+    n_pairs = n * (n - 1) // 2
+    alive = np.arange(n_rep)
+    t0 = np.zeros(n_rep)  # time of each live replica's last event so far
+    while alive.size:
+        times = np.empty((alive.size, B))
+        for c, r in enumerate(alive):
+            times[c] = rngs[r].exponential(1.0 / n, B)
+        times[:, 0] += t0[alive]
+        np.cumsum(times, axis=1, out=times)
+        kept = np.count_nonzero(times <= t_end, axis=1)
+        n_events[alive] += kept
+
+        # a checkpoint at or after t0 is resolved in this block unless all B
+        # events precede it; its row is the state before event index `at`
+        at = np.array([np.searchsorted(row, cps, side="right") for row in times]).T
+        ci, c = np.nonzero((cps[:, None] >= t0[alive]) & (at < B))
+        at, rows = at[ci, c], alive[c]
+        full = kept == B
+        t0[alive[full]] = times[full, -1]
+        del times  # freed before the block arrays are drawn
+
+        order = np.argsort(-kept, kind="stable")
+        block = _draw_block(model, offsets, n_pairs,
+                            [rngs[r] for r in alive[order]], alive[order] * n)
+        active = alive.size - np.searchsorted(np.sort(kept), np.arange(B), side="right")
+        done = 0
+        for e in np.unique(at):
+            _advance(model.kind, flat, block, active, done, e)
+            done = e
+            now = at == e
+            snapshots[rows[now], ci[now]] = state[rows[now]]
+        _advance(model.kind, flat, block, active, done, kept.max())
+        alive = alive[full]
+    return snapshots, n_events
 
 
-# ---------------------------------------------------------------------------
-# snapshot serialization (JSON lines, one record per replica and checkpoint)
+def _draw_block(model: ModelSpec, offsets, n_pairs, rngs, bases):
+    """One block of draws per replica, in contract-v2 order, as event-major
+    arrays: flat particle indices (cl: leader, follower) and model values."""
+    B = EVENT_BLOCK
+    shape = (B, len(rngs))
+    idx_a = np.empty(shape, dtype=np.intp)
+    idx_b = np.empty(shape, dtype=np.intp)
+    val_a = np.empty(shape)
+    val_b = None if model.kind == "cl" else np.empty(shape)
+    noise = model.noise
+    for c, (rng, base) in enumerate(zip(rngs, bases)):
+        m = rng.integers(n_pairs, size=B)
+        i = np.searchsorted(offsets, m, side="right") - 1
+        j = m - offsets[i] + i + 1 + base
+        i += base
+        if model.kind == "cl":
+            i_leads = rng.integers(2, size=B).astype(bool)
+            idx_a[:, c] = np.where(i_leads, i, j)
+            idx_b[:, c] = np.where(i_leads, j, i)
+            val_a[:, c] = noise.sample(rng, B)
+        elif model.kind == "bdg":
+            idx_a[:, c], idx_b[:, c] = i, j
+            w = noise.sample(rng, 2 * B)
+            val_a[:, c], val_b[:, c] = w[0::2], w[1::2]
+        else:
+            idx_a[:, c], idx_b[:, c] = i, j
+            theta = noise.sample(rng, B)
+            val_a[:, c], val_b[:, c] = np.cos(theta), np.sin(theta)
+    return idx_a, idx_b, val_a, val_b
 
 
-def write_snapshots(path, result: EnsembleResult, header: Optional[str] = None) -> None:
-    """Write {"replica": r, "t": t, "angles": [...]} records as JSON lines."""
-    with open(path, "w") as fh:
-        if header is not None:
-            fh.write(f"# {header}\n")
-        for r in range(result.n_replicas):
-            for ti, t in enumerate(result.times):
-                rec = {"replica": r, "t": float(t),
-                       "angles": [float(a) for a in result.snapshots[r, ti]]}
-                fh.write(json.dumps(rec) + "\n")
-
-
-def read_snapshots(path) -> EnsembleResult:
-    """Read snapshots written by ``write_snapshots``; comment lines are skipped."""
-    by_replica: dict = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            rec = json.loads(line)
-            by_replica.setdefault(rec["replica"], []).append((rec["t"], rec["angles"]))
-    if not by_replica:
-        raise ValueError(f"no snapshot records in {path}")
-    replicas = sorted(by_replica)
-    times = np.array([t for t, _ in by_replica[replicas[0]]])
-    snaps = np.array([[ang for _, ang in by_replica[r]] for r in replicas])
-    return EnsembleResult(times=times, snapshots=snaps,
-                          n_events=np.zeros(len(replicas), dtype=np.int64))
+def _advance(kind, flat, block, active, e0, e1):
+    """Apply event indices e0..e1-1 of a block to the flat state."""
+    idx_a, idx_b, val_a, val_b = block
+    for e in range(e0, e1):
+        a = active[e]
+        ia, ib = idx_a[e, :a], idx_b[e, :a]
+        if kind == "cl":
+            flat[ib] = (flat[ia] + val_a[e, :a]) % TWO_PI
+        elif kind == "bdg":
+            vi, vj = flat[ia], flat[ib]
+            delta = (vj - vi) % TWO_PI
+            vbar = (vi + 0.5 * np.where(delta <= np.pi, delta, delta - TWO_PI)) % TWO_PI
+            flat[ia] = (vbar + val_a[e, :a]) % TWO_PI
+            flat[ib] = (vbar + val_b[e, :a]) % TWO_PI
+        else:
+            vi, vj = flat[ia], flat[ib]
+            c, s = val_a[e, :a], val_b[e, :a]
+            flat[ia] = c * vi + s * vj
+            flat[ib] = -s * vi + c * vj

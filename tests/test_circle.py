@@ -335,6 +335,20 @@ class TestSampling:
         d = stats.ks_2samp(x_exact, x_tab).statistic
         assert d < 0.005
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_tabulated_sampler_modes_carry_sinc(self, k):
+        # the sampler draws the piecewise-constant carrier, whose modes are
+        # the grid coefficients damped by sinc(k/M); at M=8 the damping is
+        # many SEs away from fourier(k) alone
+        g = TabulatedNoise(WrappedNormalNoise(0.5).tabulate(8).values)
+        rng = np.random.default_rng(30 + k)
+        n = 400_000
+        c = np.cos(k * sample_noise(g, rng, n))
+        se = np.std(c, ddof=1) / np.sqrt(n)
+        want = g.fourier(k) * np.sinc(k / g.M)
+        assert abs(c.mean() - want) < 4.0 * se
+        assert abs(g.fourier(k) - want) > 8.0 * se
+
     def test_sample_grid_density_gof(self):
         rng = np.random.default_rng(12)
         d = GridDensity.from_unnormalized(rng.random(64) + 0.2)

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from pairjump import __version__
+from pairjump.circle import WrappedNormalNoise
 from pairjump.cli import main
+from pairjump.models import ModelSpec, simulate_ensemble
 
 
 def write_config(tmp_path, name, payload):
@@ -48,6 +50,36 @@ class TestSimulate:
         assert len(records) == 2  # replicas x checkpoints
         assert all(len(r["state"]) == 10 for r in records)
         assert {r["replica"] for r in records} == {0, 1}
+
+    def test_snapshots_round_trip_exactly(self, tmp_path):
+        payload = simulate_config(model="bdg", replicas=3, checkpoints=[0.0, 0.5, 1.0],
+                                  noise={"kind": "wrapped_normal", "param": 0.3})
+        cfg = write_config(tmp_path, "sim.json", payload)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out),
+                     "--threads", "1"]) == 0
+        want = simulate_ensemble(ModelSpec("bdg", WrappedNormalNoise(0.3)), 10, 1.0,
+                                 [0.0, 0.5, 1.0], 3, 1)
+        records = [json.loads(s) for s in
+                   (out / "snapshots.jsonl").read_text().splitlines()[1:]]
+        assert [(r["replica"], r["t"]) for r in records] == \
+            [(r, t) for r in range(3) for t in (0.0, 0.5, 1.0)]
+        got = np.array([r["state"] for r in records]).reshape(want.snapshots.shape)
+        assert np.array_equal(got, want.snapshots)
+
+    def test_kac_summary_is_header_only(self, tmp_path):
+        cfg = write_config(tmp_path, "sim.json",
+                           simulate_config(model="kac", replicas=3))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out),
+                     "--threads", "1"]) == 0
+        lines = (out / "summary.csv").read_text().splitlines()
+        assert lines[0].startswith("# pairjump=")
+        assert lines[1:] == ["t,k,re_f1,im_f1,se_f1,re_C,im_C,se_C,z_kinetic"]
+        states = [json.loads(s)["state"] for s in
+                  (out / "snapshots.jsonl").read_text().splitlines()[1:]]
+        assert len(states) == 3
+        assert np.sum(np.square(states), axis=1) == pytest.approx([10.0] * 3, rel=1e-12)
 
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, "sim.json", simulate_config(replicas=3))

@@ -5,11 +5,13 @@ from numpy.testing import assert_allclose
 from pairjump.circle import (
     TWO_PI,
     GridDensity,
+    TabulatedNoise,
     UniformNoise,
     WrappedNormalNoise,
     wrap_angle,
 )
 from pairjump.models import (
+    EVENT_BLOCK,
     JumpEvent,
     ModelSpec,
     bdg_pair_update,
@@ -368,6 +370,106 @@ class TestEnsemble:
         a = simulate_ensemble(model, 30, 1.0, [1.0], 2, master_seed=3)
         energies = np.sum(a.snapshots[:, 0, :] ** 2, axis=1)
         assert_allclose(energies, 30.0, rtol=1e-12)
+
+
+def contract_v2_reference(model, n, t_end, checkpoints, seed, r, initial=None):
+    """Scalar reading of draw-order contract v2 for replica r of an ensemble.
+
+    The block draws become a JumpEvent log (pairs decoded with triu_indices,
+    which enumerates pairs in the same lexicographic order), and each
+    checkpoint row is ``replay`` of the events at or before it. Returns the
+    rows and the event times.
+    """
+    rng = replica_rng(seed, r)
+    if initial is not None:
+        x0 = sample_initial_chaotic(initial, n, rng)
+    elif model.kind == "kac":
+        x0 = sample_kac_state(n, rng)
+    else:
+        x0 = rng.random(n) * TWO_PI
+    first, second = np.triu_indices(n, 1)
+    B = EVENT_BLOCK
+    events = []
+    t = 0.0
+    while True:
+        waits = rng.exponential(1.0 / n, B)
+        pairs = rng.integers(n * (n - 1) // 2, size=B)
+        if model.kind == "cl":
+            coins = rng.integers(2, size=B)
+            draws = list(zip(coins.tolist(), model.noise.sample(rng, B).tolist()))
+        elif model.kind == "bdg":
+            w = model.noise.sample(rng, 2 * B).tolist()
+            draws = list(zip(w[0::2], w[1::2]))
+        else:
+            draws = [(th,) for th in model.noise.sample(rng, B).tolist()]
+        for w, m, d in zip(waits, pairs, draws):
+            t = t + w
+            if t > t_end:
+                times = np.array([ev.time for ev in events])
+                rows = [replay(model, x0, events[:np.searchsorted(times, c, side="right")])
+                        for c in checkpoints]
+                return np.array(rows).reshape(len(checkpoints), n), times
+            events.append(JumpEvent(float(t), int(first[m]), int(second[m]), d))
+
+
+class TestLockstepEnsemble:
+    N, T_END, SEED, R = 6, 400.0, 515, 3  # about 2400 events: three blocks
+
+    def checkpoints(self, model):
+        # 0, repeated values, t_end, and two of replica 0's event times: one
+        # mid-block and the last of its first block (a checkpoint the next
+        # block must resolve)
+        _, times = contract_v2_reference(model, self.N, self.T_END, [], self.SEED, 0)
+        mid, edge = float(times[EVENT_BLOCK // 2]), float(times[EVENT_BLOCK - 1])
+        return sorted([0.0, 0.0, mid, 123.4, 123.4, edge, edge, self.T_END])
+
+    @pytest.mark.parametrize("kind,noise", [
+        ("cl", WrappedNormalNoise(0.5)),
+        ("cl", TabulatedNoise(WrappedNormalNoise(0.5).tabulate(16).values)),
+        ("bdg", WrappedNormalNoise(0.3)),
+    ], ids=["cl_wn", "cl_tab", "bdg_wn"])
+    def test_bit_identical_to_scalar_reference(self, kind, noise):
+        model = ModelSpec(kind, noise)
+        cps = self.checkpoints(model)
+        init = WrappedNormalNoise(0.5) if kind == "bdg" else None
+        ens = simulate_ensemble(model, self.N, self.T_END, cps, self.R, self.SEED,
+                                initial=init)
+        for r in range(self.R):
+            rows, times = contract_v2_reference(model, self.N, self.T_END, cps,
+                                                self.SEED, r, initial=init)
+            assert times.size > 2 * EVENT_BLOCK
+            assert ens.n_events[r] == times.size
+            assert np.array_equal(ens.snapshots[r], rows)
+
+    def test_kac_energy_and_reference(self):
+        model = ModelSpec("kac", UniformNoise())
+        cps = self.checkpoints(model)
+        ens = simulate_ensemble(model, self.N, self.T_END, cps, self.R, self.SEED)
+        energies = np.sum(ens.snapshots ** 2, axis=2)
+        assert np.max(np.abs(energies - self.N)) < 1e-12 * self.N
+        for r in range(self.R):
+            rows, times = contract_v2_reference(model, self.N, self.T_END, cps,
+                                                self.SEED, r)
+            assert ens.n_events[r] == times.size
+            # block cos/sin and scalar cos/sin may differ in the last bit
+            assert_allclose(ens.snapshots[r], rows, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["cl", "bdg", "kac"])
+    def test_rows_independent_of_replica_count_and_workers(self, kind):
+        model = ModelSpec(kind, WrappedNormalNoise(0.4))
+        run = lambda reps, workers: simulate_ensemble(  # noqa: E731
+            model, 30, 60.0, [0.0, 30.0, 60.0], reps, 9, workers=workers)
+        five, three, split = run(5, 1), run(3, 1), run(5, 2)
+        assert np.array_equal(three.snapshots, five.snapshots[:3])
+        assert np.array_equal(three.n_events, five.n_events[:3])
+        assert np.array_equal(split.snapshots, five.snapshots)
+        assert np.array_equal(split.n_events, five.n_events)
+
+    def test_mean_event_count(self):
+        # Poisson(N t) per replica: mean 200, SE sqrt(200 / 200) = 1
+        model = ModelSpec("cl", UniformNoise())
+        ens = simulate_ensemble(model, 100, 2.0, [2.0], 200, 77)
+        assert abs(ens.n_events.mean() - 200.0) < 4.0
 
 
 class TestRateConsistency:
