@@ -20,7 +20,6 @@ from .circle import (
     fourier_coeffs,
     heat_kernel_spec,
     sample_grid_density,
-    sample_noise,
     wrap_angle,
 )
 from .diagnostics import (
@@ -48,6 +47,7 @@ from .kinetic import (
 )
 from .models import (
     EnsembleResult,
+    EventLog,
     JumpEvent,
     ModelSpec,
     SimulationResult,

@@ -31,7 +31,6 @@ __all__ = [
     "fourier_coeffs",
     "density_from_coeffs",
     "circular_convolve",
-    "sample_noise",
     "heat_kernel_spec",
 ]
 
@@ -161,7 +160,7 @@ class NoiseSpec:
     def density(self, theta):
         raise NotImplementedError
 
-    def sample(self, rng: np.random.Generator, size=None):
+    def sample(self, rng: np.random.Generator, size):
         raise NotImplementedError
 
     def tabulate(self, M: int) -> GridDensity:
@@ -181,9 +180,7 @@ class UniformNoise(NoiseSpec):
     def density(self, theta):
         return np.full_like(np.asarray(theta, dtype=float), 1.0 / TWO_PI)
 
-    def sample(self, rng, size=None):
-        if size is None:
-            return rng.random() * TWO_PI
+    def sample(self, rng, size):
         return rng.random(size) * TWO_PI
 
 
@@ -216,11 +213,8 @@ class WrappedNormalNoise(NoiseSpec):
         dens = np.exp(-0.5 * x * x / self.sigma2).sum(axis=-1)
         return dens / np.sqrt(TWO_PI * self.sigma2)
 
-    def sample(self, rng, size=None):
-        sigma = np.sqrt(self.sigma2)
-        if size is None:
-            return rng.normal(0.0, sigma) % TWO_PI
-        return rng.normal(0.0, sigma, size) % TWO_PI
+    def sample(self, rng, size):
+        return rng.normal(0.0, np.sqrt(self.sigma2), size) % TWO_PI
 
 
 @dataclass(frozen=True)
@@ -246,9 +240,7 @@ class VonMisesNoise(NoiseSpec):
         # exp(kappa cos t)/(2 pi I0(kappa)), written with ive for large kappa
         return np.exp(self.kappa * (np.cos(theta) - 1.0)) / (TWO_PI * ive(0, self.kappa))
 
-    def sample(self, rng, size=None):
-        if size is None:
-            return rng.vonmises(0.0, self.kappa) % TWO_PI
+    def sample(self, rng, size):
         return rng.vonmises(0.0, self.kappa, size) % TWO_PI
 
 
@@ -295,7 +287,7 @@ class TabulatedNoise(NoiseSpec):
         cells = np.mod(np.rint(np.asarray(theta) / (TWO_PI / self.M)).astype(int), self.M)
         return self.values[cells]
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         return _sample_cells(self.values, self._cum, rng, size)
 
     def tabulate(self, M: int) -> GridDensity:
@@ -312,19 +304,17 @@ class TabulatedNoise(NoiseSpec):
 # operations
 
 
-def _sample_cells(values, cum, rng, size=None):
+def _sample_cells(values, cum, rng, size):
     # inverse CDF over cells centered at theta_m, uniform within each cell
     M = values.size
-    scalar = size is None
-    u = rng.random(1 if scalar else size)
+    u = rng.random(size)
     idx = np.searchsorted(cum, u, side="right")
     lo = np.concatenate(([0.0], cum))[idx]
     frac = (u - lo) / (values[idx] * (TWO_PI / M))
-    theta = (idx - 0.5 + frac) * (TWO_PI / M) % TWO_PI
-    return float(theta[0]) if scalar else theta
+    return (idx - 0.5 + frac) * (TWO_PI / M) % TWO_PI
 
 
-def sample_grid_density(d: GridDensity, rng: np.random.Generator, size=None):
+def sample_grid_density(d: GridDensity, rng: np.random.Generator, size):
     """Draw angles from the piecewise-constant carrier of a grid density."""
     cum = np.cumsum(d.masses)
     cum[-1] = 1.0
@@ -379,11 +369,6 @@ def circular_convolve(a: FourierDensity, b: FourierDensity) -> FourierDensity:
     if a.K != b.K:
         raise ValueError(f"cutoff mismatch: {a.K} != {b.K}")
     return FourierDensity(a.coeffs * b.coeffs)
-
-
-def sample_noise(spec: NoiseSpec, rng: np.random.Generator, size=None):
-    """Draw angles distributed per ``spec`` using the supplied generator."""
-    return spec.sample(rng, size)
 
 
 def heat_kernel_spec(t: float) -> WrappedNormalNoise:

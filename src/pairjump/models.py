@@ -16,13 +16,11 @@ are Exp(N), and each replica owns a counter-based generator derived from
 (master_seed, replica_index), so results are reproducible and independent of
 scheduling.
 
-``simulate`` is the scalar reference: after whatever the caller drew from
-the generator, it draws per event the waiting time, the pair index and the
-model draws, in that order; ``replay`` applies its event log.
-
-``simulate_ensemble`` follows draw-order contract v2. Replica r, on
-``replica_rng(master_seed, r)``, draws its initial state first, then events
-in blocks of B = EVENT_BLOCK. Each block draws, in this order:
+Draw-order contract v2 governs both engines, the scalar ``simulate`` and the
+replica-batched ``simulate_ensemble``. After whatever the caller drew from
+the generator (for replica r of an ensemble: ``replica_rng(master_seed, r)``,
+then the initial state), events are drawn in blocks of B = EVENT_BLOCK. Each
+block draws, in this order:
 
 * ``exponential(1/N, B)`` waiting times;
 * ``integers(N(N-1)/2, B)`` pair indices, decoded lexicographically;
@@ -31,14 +29,25 @@ in blocks of B = EVENT_BLOCK. Each block draws, in this order:
   (w_i, w_j); kac ``noise.sample(rng, B)`` rotation angles.
 
 Event times are the running sum of the waiting times. The first time past
-t_end ends the replica, and the rest of that block is discarded. A
+t_end ends the trajectory, and the rest of that block is discarded. A
 checkpoint row is the state after every event at or before the checkpoint.
-Replica r of an ensemble is therefore a trajectory of the same law as
-``simulate`` on ``replica_rng(master_seed, r)``, but not the same trajectory.
+Both engines update with the same correctly rounded operations and ``%``,
+and take kac's cos/sin over a block's whole angle column, so replica r of an
+ensemble is, bit for bit, ``simulate`` on ``replica_rng(master_seed, r)``
+after its initial state. ``simulate`` keeps its event log as the block's
+columns (an ``EventLog``, read as JumpEvent entries), and ``replay`` applies
+a log through the same update table, reproducing the final state bit for
+bit.
+
+Contract v1, retired when ``simulate`` moved to v2, drew per event the
+waiting time, the pair index and the model draws with scalar calls. A
+trajectory recorded under v1 has the same law as its v2 counterpart but is
+not the same trajectory.
 """
 
 from __future__ import annotations
 
+from collections import abc
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -49,6 +58,7 @@ from .circle import TWO_PI, GridDensity, NoiseSpec, sample_grid_density, wrap_an
 __all__ = [
     "ModelSpec",
     "JumpEvent",
+    "EventLog",
     "SimulationResult",
     "EnsembleResult",
     "midpoint_angle",
@@ -65,7 +75,7 @@ __all__ = [
 ]
 
 MODEL_KINDS = ("bdg", "cl", "kac")
-EVENT_BLOCK = 1024  # events drawn per replica at a time by simulate_ensemble
+EVENT_BLOCK = 1024  # events drawn per trajectory at a time (draw-order contract v2)
 
 
 @dataclass(frozen=True)
@@ -100,13 +110,61 @@ class JumpEvent:
     draws: tuple
 
 
+class EventLog(abc.Sequence):
+    """A trajectory's event log: a read-only sequence of JumpEvent.
+
+    The events are held as columns (times, i, j, and the draw columns d1, d2,
+    with d2 None for kac), 40 bytes per event; a JumpEvent is built only when
+    an entry is read. A slice is an EventLog over views of the columns.
+    """
+
+    def __init__(self, time, i, j, d1, d2=None):
+        self.columns = (time, i, j, d1, d2)
+
+    @classmethod
+    def from_events(cls, kind: str, events) -> "EventLog":
+        """Columns of a sequence of JumpEvent of a model kind; an EventLog
+        is returned as it is."""
+        if isinstance(events, EventLog):
+            return events
+        draws = np.array([ev.draws for ev in events], dtype=float)
+        draws = draws.reshape(len(events), 1 if kind == "kac" else 2)
+        return cls(np.array([ev.time for ev in events], dtype=float),
+                   np.array([ev.i for ev in events], dtype=np.intp),
+                   np.array([ev.j for ev in events], dtype=np.intp),
+                   draws[:, 0], None if kind == "kac" else draws[:, 1])
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return EventLog(*(None if col is None else col[k] for col in self.columns))
+        time, i, j, d1, d2 = self.columns
+        draws = (d1[k].item(),) if d2 is None else (d1[k].item(), d2[k].item())
+        return JumpEvent(time[k].item(), int(i[k]), int(j[k]), draws)
+
+    def __iter__(self):
+        for e0 in range(0, len(self), EVENT_BLOCK):
+            time, i, j, d1, d2 = (None if col is None else col[e0:e0 + EVENT_BLOCK].tolist()
+                                  for col in self.columns)
+            yield from map(JumpEvent, time, i, j, zip(d1) if d2 is None else zip(d1, d2))
+
+    def __eq__(self, other):
+        if not isinstance(other, abc.Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None
+
+
 @dataclass(eq=False)
 class SimulationResult:
     times: np.ndarray            # checkpoint times, shape (T,)
     states: np.ndarray           # state at each checkpoint, shape (T, N)
     final_state: np.ndarray      # state at t_end, shape (N,)
     n_events: int
-    events: Optional[list] = None
+    events: Optional["EventLog"] = None
     events_truncated: bool = False
 
 
@@ -219,10 +277,21 @@ def _check_initial(model: ModelSpec, initial) -> np.ndarray:
     return wrap_angle(state)
 
 
+def _check_checkpoints(checkpoints, t_end: float) -> np.ndarray:
+    cps = np.asarray(checkpoints, dtype=float)
+    if cps.size and (np.any(np.diff(cps) < 0.0) or cps[0] < 0.0 or cps[-1] > t_end):
+        raise ValueError("checkpoints must be nondecreasing and lie in [0, t_end]")
+    return cps
+
+
 def simulate(model: ModelSpec, initial, t_end: float, rng: np.random.Generator,
              checkpoints: Sequence[float] = (), record_events: bool = False,
              event_log_cap: int = 1_000_000) -> SimulationResult:
     """Run one trajectory to t_end, recording the state at each checkpoint.
+
+    Draws follow draw-order contract v2 (module docstring), so the trajectory
+    is replica r of ``simulate_ensemble`` when ``rng`` is
+    ``replica_rng(master_seed, r)`` and ``initial`` was drawn from it first.
 
     Parameters
     ----------
@@ -237,8 +306,9 @@ def simulate(model: ModelSpec, initial, t_end: float, rng: np.random.Generator,
         Nondecreasing times in [0, t_end]; the state is recorded just before
         the first event past each checkpoint.
     record_events : bool
-        Keep a log of JumpEvent entries, at most event_log_cap of them; the
-        result is flagged truncated if the cap is hit.
+        Keep the event log, an EventLog of JumpEvent entries, with at most
+        event_log_cap of them; the result is flagged truncated if the cap
+        is hit.
 
     Returns
     -------
@@ -246,77 +316,123 @@ def simulate(model: ModelSpec, initial, t_end: float, rng: np.random.Generator,
     """
     if t_end < 0.0:
         raise ValueError("t_end must be nonnegative")
-    state = _check_initial(model, initial)
-    n = state.size
-    cps = np.asarray(checkpoints, dtype=float)
-    if cps.size and (np.any(np.diff(cps) < 0.0) or cps[0] < 0.0 or cps[-1] > t_end):
-        raise ValueError("checkpoints must be nondecreasing and lie in [0, t_end]")
-
+    state = _check_initial(model, initial).tolist()
+    cps = _check_checkpoints(checkpoints, t_end)
+    n = len(state)
     offsets = _pair_offsets(n)
     n_pairs = n * (n - 1) // 2
-    mean_wait = 1.0 / n
-    kind = model.kind
-    noise = model.noise
 
-    times = cps
+    B = EVENT_BLOCK
     snaps = np.empty((cps.size, n))
-    events: Optional[list] = [] if record_events else None
+    logged = []  # per block: the event log's column slices
+    n_logged = 0
     truncated = False
     n_events = 0
-    t = 0.0
+    t0 = 0.0
     ci = 0
-
     while True:
-        t_next = t + rng.exponential(mean_wait)
-        while ci < cps.size and cps[ci] < t_next:
+        times = rng.exponential(1.0 / n, B)
+        times[0] += t0
+        np.cumsum(times, out=times)
+        kept = int(np.count_nonzero(times <= t_end))
+        drawn = _draw_block(model, offsets, n_pairs, rng)
+        table = _update_table(model.kind, *drawn)
+        done = 0
+        # a checkpoint is resolved here unless all B events precede it
+        while ci < cps.size:
+            at = int(np.searchsorted(times, cps[ci], side="right"))
+            if at == B:
+                break
+            _apply_events(model.kind, state, table, done, at)
+            done = at
             snaps[ci] = state
             ci += 1
-        if t_next > t_end:
-            break
-        m = int(rng.integers(n_pairs))
-        i = int(np.searchsorted(offsets, m, side="right")) - 1
-        j = m - offsets[i] + i + 1
-        if kind == "cl":
-            b = int(rng.integers(2))
-            z = noise.sample(rng)
-            state[i], state[j] = cl_pair_update(state[i], state[j], b, z)
-            draws = (b, z)
-        elif kind == "bdg":
-            wi = noise.sample(rng)
-            wj = noise.sample(rng)
-            state[i], state[j] = bdg_pair_update(state[i], state[j], wi, wj)
-            draws = (wi, wj)
-        else:
-            theta = noise.sample(rng)
-            state[i], state[j] = kac_pair_update(state[i], state[j], theta)
-            draws = (theta,)
-        t = t_next
-        n_events += 1
-        if events is not None:
-            if len(events) < event_log_cap:
-                events.append(JumpEvent(t, i, int(j), draws))
-            else:
-                truncated = True
-    while ci < cps.size:
-        snaps[ci] = state
-        ci += 1
+        _apply_events(model.kind, state, table, done, kept)
+        n_events += kept
 
-    return SimulationResult(times=times, states=snaps, final_state=state.copy(),
+        if record_events:
+            take = max(0, min(kept, event_log_cap - n_logged))
+            truncated = truncated or take < kept
+            logged.append([None if col is None else col[:take] for col in (times, *drawn)])
+            n_logged += take
+        if kept < B:
+            break
+        t0 = times[-1]
+
+    events = None
+    if record_events:
+        events = EventLog(*(None if cols[0] is None else np.concatenate(cols)
+                            for cols in zip(*logged)))
+    return SimulationResult(times=cps, states=snaps, final_state=np.array(state),
                             n_events=n_events, events=events, events_truncated=truncated)
 
 
 def replay(model: ModelSpec, initial, events: Sequence[JumpEvent]) -> np.ndarray:
-    """Apply a recorded event log to an initial state; no randomness."""
-    state = _check_initial(model, initial)
-    for ev in events:
-        i, j = ev.i, ev.j
-        if model.kind == "cl":
-            state[i], state[j] = cl_pair_update(state[i], state[j], *ev.draws)
-        elif model.kind == "bdg":
-            state[i], state[j] = bdg_pair_update(state[i], state[j], *ev.draws)
-        else:
-            state[i], state[j] = kac_pair_update(state[i], state[j], *ev.draws)
-    return state
+    """Apply a recorded event log to an initial state; no randomness.
+
+    The log goes through the same update table as ``simulate``, so replaying
+    a trajectory's complete log reproduces its final state bit for bit.
+    """
+    state = _check_initial(model, initial).tolist()
+    log = EventLog.from_events(model.kind, events)
+    for e0 in range(0, len(log), EVENT_BLOCK):
+        _, i, j, d1, d2 = log[e0:e0 + EVENT_BLOCK].columns
+        _apply_events(model.kind, state, _update_table(model.kind, i, j, d1, d2), 0, len(i))
+    return np.array(state)
+
+
+def _draw_block(model: ModelSpec, offsets, n_pairs, rng):
+    """The draws of one block of EVENT_BLOCK events that follow its waiting
+    times, in contract-v2 order: the pairs (i < j) and the two JumpEvent draw
+    columns (cl: coin, z; bdg: w_i, w_j; kac: theta, None)."""
+    B = EVENT_BLOCK
+    m = rng.integers(n_pairs, size=B)
+    i = np.searchsorted(offsets, m, side="right") - 1
+    j = m - offsets[i] + i + 1
+    if model.kind == "cl":
+        return i, j, rng.integers(2, size=B), model.noise.sample(rng, B)
+    if model.kind == "bdg":
+        w = model.noise.sample(rng, 2 * B)
+        return i, j, w[0::2], w[1::2]
+    return i, j, model.noise.sample(rng, B), None
+
+
+def _update_table(kind, i, j, d1, d2):
+    """Update operands (a, b, value, value) of events given as draw columns:
+    cl (leader, follower, z, None), bdg (i, j, w_i, w_j), kac (i, j, cos, sin).
+    kac's cos/sin are taken over the whole column, as both engines do."""
+    if kind == "cl":
+        i_leads = d1.astype(bool)
+        return np.where(i_leads, i, j), np.where(i_leads, j, i), d2, None
+    if kind == "kac":
+        return i, j, np.cos(d1), np.sin(d1)
+    return i, j, d1, d2
+
+
+def _apply_events(kind, state, table, e0, e1):
+    """Apply events e0..e1-1 of an update table to a state held as a list.
+
+    The arithmetic is ``_advance``'s, operation for operation, on Python
+    floats; every operation is correctly rounded (or ``%``) in both, so the
+    scalar and the vectorised engine agree bit for bit.
+    """
+    a, b, va, vb = (None if col is None else col[e0:e1].tolist() for col in table)
+    two_pi, pi = TWO_PI, np.pi
+    if kind == "cl":
+        for ia, ib, z in zip(a, b, va):
+            state[ib] = (state[ia] + z) % two_pi
+    elif kind == "bdg":
+        for ia, ib, wa, wb in zip(a, b, va, vb):
+            vi = state[ia]
+            delta = (state[ib] - vi) % two_pi
+            vbar = (vi + 0.5 * (delta if delta <= pi else delta - two_pi)) % two_pi
+            state[ia] = (vbar + wa) % two_pi
+            state[ib] = (vbar + wb) % two_pi
+    else:
+        for ia, ib, c, s in zip(a, b, va, vb):
+            vi, vj = state[ia], state[ib]
+            state[ia] = c * vi + s * vj
+            state[ib] = -s * vi + c * vj
 
 
 def _draw_initial(model: ModelSpec, initial, n_particles: int, rng) -> np.ndarray:
@@ -343,9 +459,7 @@ def simulate_ensemble(model: ModelSpec, n_particles: int, t_end: float,
         raise ValueError("n_replicas must be >= 1")
     if t_end < 0.0:
         raise ValueError("t_end must be nonnegative")
-    cps = np.asarray(checkpoints, dtype=float)
-    if cps.size and (np.any(np.diff(cps) < 0.0) or cps[0] < 0.0 or cps[-1] > t_end):
-        raise ValueError("checkpoints must be nondecreasing and lie in [0, t_end]")
+    cps = _check_checkpoints(checkpoints, t_end)
 
     n_jobs = max(1, min(workers, n_replicas))
     cuts = [n_replicas * k // n_jobs for k in range(n_jobs + 1)]
@@ -408,8 +522,8 @@ def _replica_job(args):
         del times  # freed before the block arrays are drawn
 
         order = np.argsort(-kept, kind="stable")
-        block = _draw_block(model, offsets, n_pairs,
-                            [rngs[r] for r in alive[order]], alive[order] * n)
+        block = _draw_columns(model, offsets, n_pairs,
+                              [rngs[r] for r in alive[order]], alive[order] * n)
         active = alive.size - np.searchsorted(np.sort(kept), np.arange(B), side="right")
         done = 0
         for e in np.unique(at):
@@ -422,34 +536,19 @@ def _replica_job(args):
     return snapshots, n_events
 
 
-def _draw_block(model: ModelSpec, offsets, n_pairs, rngs, bases):
-    """One block of draws per replica, in contract-v2 order, as event-major
-    arrays: flat particle indices (cl: leader, follower) and model values."""
-    B = EVENT_BLOCK
-    shape = (B, len(rngs))
+def _draw_columns(model: ModelSpec, offsets, n_pairs, rngs, bases):
+    """One block per replica, in contract-v2 order, as event-major (B, R)
+    update-table arrays with flat particle indices."""
+    shape = (EVENT_BLOCK, len(rngs))
     idx_a = np.empty(shape, dtype=np.intp)
     idx_b = np.empty(shape, dtype=np.intp)
     val_a = np.empty(shape)
     val_b = None if model.kind == "cl" else np.empty(shape)
-    noise = model.noise
     for c, (rng, base) in enumerate(zip(rngs, bases)):
-        m = rng.integers(n_pairs, size=B)
-        i = np.searchsorted(offsets, m, side="right") - 1
-        j = m - offsets[i] + i + 1 + base
-        i += base
-        if model.kind == "cl":
-            i_leads = rng.integers(2, size=B).astype(bool)
-            idx_a[:, c] = np.where(i_leads, i, j)
-            idx_b[:, c] = np.where(i_leads, j, i)
-            val_a[:, c] = noise.sample(rng, B)
-        elif model.kind == "bdg":
-            idx_a[:, c], idx_b[:, c] = i, j
-            w = noise.sample(rng, 2 * B)
-            val_a[:, c], val_b[:, c] = w[0::2], w[1::2]
-        else:
-            idx_a[:, c], idx_b[:, c] = i, j
-            theta = noise.sample(rng, B)
-            val_a[:, c], val_b[:, c] = np.cos(theta), np.sin(theta)
+        a, b, va, vb = _update_table(model.kind, *_draw_block(model, offsets, n_pairs, rng))
+        idx_a[:, c], idx_b[:, c], val_a[:, c] = a + base, b + base, va
+        if vb is not None:
+            val_b[:, c] = vb
     return idx_a, idx_b, val_a, val_b
 
 

@@ -17,7 +17,6 @@ from pairjump.circle import (
     fourier_coeffs,
     heat_kernel_spec,
     sample_grid_density,
-    sample_noise,
     wrap_angle,
 )
 
@@ -301,14 +300,14 @@ class TestSampling:
     def test_uniform_first_mode_small(self):
         rng = np.random.default_rng(2026)
         n = 1_000_000
-        x = sample_noise(UniformNoise(), rng, n)
+        x = UniformNoise().sample(rng, n)
         assert np.all((x >= 0.0) & (x < TWO_PI))
         assert abs(np.mean(np.exp(-1j * x))) < 4.0 / np.sqrt(n)
 
     def test_wrapped_normal_first_mode(self):
         rng = np.random.default_rng(7)
         n = 1_000_000
-        x = sample_noise(WrappedNormalNoise(0.2), rng, n)
+        x = WrappedNormalNoise(0.2).sample(rng, n)
         z = np.exp(-1j * x)
         se = np.sqrt((np.var(z.real, ddof=1) + np.var(z.imag, ddof=1)) / n)
         assert abs(np.mean(z) - np.exp(-0.1)) < 4.0 * se
@@ -322,7 +321,7 @@ class TestSampling:
     ], ids=["uniform", "wn02", "wn10", "vm20", "tab"])
     def test_goodness_of_fit(self, g):
         rng = np.random.default_rng(42)
-        x = sample_noise(g, rng, 100_000)
+        x = g.sample(rng, 100_000)
         p = chi_square_pvalue(x, g.tabulate(64))
         assert p > 1e-3
 
@@ -330,8 +329,8 @@ class TestSampling:
         # piecewise-constant carrier on M=256 vs the exact wrapped normal
         rng = np.random.default_rng(9)
         g = WrappedNormalNoise(0.5)
-        x_exact = sample_noise(g, rng, 100_000)
-        x_tab = sample_noise(TabulatedNoise(g.tabulate(256).values), rng, 100_000)
+        x_exact = g.sample(rng, 100_000)
+        x_tab = TabulatedNoise(g.tabulate(256).values).sample(rng, 100_000)
         d = stats.ks_2samp(x_exact, x_tab).statistic
         assert d < 0.005
 
@@ -343,7 +342,7 @@ class TestSampling:
         g = TabulatedNoise(WrappedNormalNoise(0.5).tabulate(8).values)
         rng = np.random.default_rng(30 + k)
         n = 400_000
-        c = np.cos(k * sample_noise(g, rng, n))
+        c = np.cos(k * g.sample(rng, n))
         se = np.std(c, ddof=1) / np.sqrt(n)
         want = g.fourier(k) * np.sinc(k / g.M)
         assert abs(c.mean() - want) < 4.0 * se
@@ -361,6 +360,6 @@ class TestSampling:
         g = TabulatedNoise(vals)
         assert_allclose(np.abs(g.fourier(np.arange(0, 9))), 1.0, atol=1e-12)
         rng = np.random.default_rng(1)
-        x = sample_noise(g, rng, 100)
+        x = g.sample(rng, 100)
         w = TWO_PI / 64
         assert np.all((x < w / 2) | (x > TWO_PI - w / 2))  # cell 0 straddles 0

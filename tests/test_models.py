@@ -12,6 +12,7 @@ from pairjump.circle import (
 )
 from pairjump.models import (
     EVENT_BLOCK,
+    EventLog,
     JumpEvent,
     ModelSpec,
     bdg_pair_update,
@@ -25,6 +26,7 @@ from pairjump.models import (
     sample_kac_state,
     simulate,
     simulate_ensemble,
+    _draw_initial,
 )
 
 
@@ -246,6 +248,19 @@ class TestSimulate:
         assert np.array_equal(replay(model, init.copy(), res.events),
                               res.final_state)
 
+    def test_event_log_is_a_sequence_of_jump_events(self):
+        model = ModelSpec("bdg", WrappedNormalNoise(0.3))
+        rng = replica_rng(31, 0)
+        res = simulate(model, rng.random(15) * TWO_PI, 4.0, rng, record_events=True)
+        listed = list(res.events)
+        assert len(listed) == len(res.events) == res.n_events
+        assert all(isinstance(ev, JumpEvent) for ev in listed)
+        assert [res.events[k] for k in range(len(listed))] == listed
+        assert res.events[-1] == listed[-1]
+        assert res.events[5:9] == listed[5:9]
+        assert EventLog.from_events("bdg", listed) == res.events
+        assert res.events != listed[:-1]
+
     def test_rejects_bad_checkpoints(self):
         model = ModelSpec("cl", UniformNoise())
         rng = replica_rng(1, 0)
@@ -372,13 +387,22 @@ class TestEnsemble:
         assert_allclose(energies, 30.0, rtol=1e-12)
 
 
+def apply_pair_updates(model, x0, events):
+    """Apply an event log one event at a time with the public pair updates."""
+    update = {"cl": cl_pair_update, "bdg": bdg_pair_update, "kac": kac_pair_update}[model.kind]
+    state = np.array(x0, dtype=float) if model.kind == "kac" else wrap_angle(x0)
+    for ev in events:
+        state[ev.i], state[ev.j] = update(state[ev.i], state[ev.j], *ev.draws)
+    return state
+
+
 def contract_v2_reference(model, n, t_end, checkpoints, seed, r, initial=None):
     """Scalar reading of draw-order contract v2 for replica r of an ensemble.
 
     The block draws become a JumpEvent log (pairs decoded with triu_indices,
     which enumerates pairs in the same lexicographic order), and each
-    checkpoint row is ``replay`` of the events at or before it. Returns the
-    rows and the event times.
+    checkpoint row is the events at or before it applied with the public pair
+    updates. Returns the rows and the event log.
     """
     rng = replica_rng(seed, r)
     if initial is not None:
@@ -406,9 +430,10 @@ def contract_v2_reference(model, n, t_end, checkpoints, seed, r, initial=None):
             t = t + w
             if t > t_end:
                 times = np.array([ev.time for ev in events])
-                rows = [replay(model, x0, events[:np.searchsorted(times, c, side="right")])
+                rows = [apply_pair_updates(model, x0,
+                                           events[:np.searchsorted(times, c, side="right")])
                         for c in checkpoints]
-                return np.array(rows).reshape(len(checkpoints), n), times
+                return np.array(rows).reshape(len(checkpoints), n), events
             events.append(JumpEvent(float(t), int(first[m]), int(second[m]), d))
 
 
@@ -419,8 +444,8 @@ class TestLockstepEnsemble:
         # 0, repeated values, t_end, and two of replica 0's event times: one
         # mid-block and the last of its first block (a checkpoint the next
         # block must resolve)
-        _, times = contract_v2_reference(model, self.N, self.T_END, [], self.SEED, 0)
-        mid, edge = float(times[EVENT_BLOCK // 2]), float(times[EVENT_BLOCK - 1])
+        _, events = contract_v2_reference(model, self.N, self.T_END, [], self.SEED, 0)
+        mid, edge = events[EVENT_BLOCK // 2].time, events[EVENT_BLOCK - 1].time
         return sorted([0.0, 0.0, mid, 123.4, 123.4, edge, edge, self.T_END])
 
     @pytest.mark.parametrize("kind,noise", [
@@ -435,10 +460,10 @@ class TestLockstepEnsemble:
         ens = simulate_ensemble(model, self.N, self.T_END, cps, self.R, self.SEED,
                                 initial=init)
         for r in range(self.R):
-            rows, times = contract_v2_reference(model, self.N, self.T_END, cps,
-                                                self.SEED, r, initial=init)
-            assert times.size > 2 * EVENT_BLOCK
-            assert ens.n_events[r] == times.size
+            rows, events = contract_v2_reference(model, self.N, self.T_END, cps,
+                                                 self.SEED, r, initial=init)
+            assert len(events) > 2 * EVENT_BLOCK
+            assert ens.n_events[r] == len(events)
             assert np.array_equal(ens.snapshots[r], rows)
 
     def test_kac_energy_and_reference(self):
@@ -448,11 +473,56 @@ class TestLockstepEnsemble:
         energies = np.sum(ens.snapshots ** 2, axis=2)
         assert np.max(np.abs(energies - self.N)) < 1e-12 * self.N
         for r in range(self.R):
-            rows, times = contract_v2_reference(model, self.N, self.T_END, cps,
-                                                self.SEED, r)
-            assert ens.n_events[r] == times.size
+            rows, events = contract_v2_reference(model, self.N, self.T_END, cps,
+                                                 self.SEED, r)
+            assert ens.n_events[r] == len(events)
             # block cos/sin and scalar cos/sin may differ in the last bit
             assert_allclose(ens.snapshots[r], rows, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("kind,noise", [
+        ("cl", WrappedNormalNoise(0.5)),
+        ("cl", TabulatedNoise(WrappedNormalNoise(0.5).tabulate(16).values)),
+        ("bdg", WrappedNormalNoise(0.3)),
+        ("kac", UniformNoise()),
+    ], ids=["cl_wn", "cl_tab", "bdg_wn", "kac"])
+    def test_simulate_is_ensemble_replica(self, kind, noise):
+        # replica r of the ensemble is simulate on replica_rng(s, r) after the
+        # initial draw: same rows, event count and event log as the reference,
+        # and replay of the log lands on the same final state
+        model = ModelSpec(kind, noise)
+        cps = self.checkpoints(model)
+        init = WrappedNormalNoise(0.5) if kind == "bdg" else None
+        ens = simulate_ensemble(model, self.N, self.T_END, cps, self.R, self.SEED,
+                                initial=init)
+        for r in range(self.R):
+            rng = replica_rng(self.SEED, r)
+            x0 = _draw_initial(model, init, self.N, rng)
+            res = simulate(model, x0, self.T_END, rng, cps, record_events=True)
+            _, events = contract_v2_reference(model, self.N, self.T_END, [], self.SEED, r,
+                                              initial=init)
+            assert res.n_events == ens.n_events[r] == len(events) > 2 * EVENT_BLOCK
+            assert np.array_equal(res.states, ens.snapshots[r])
+            assert np.array_equal(res.final_state, ens.snapshots[r, -1])
+            assert res.events == events
+            assert np.array_equal(replay(model, x0, res.events), res.final_state)
+
+    def test_event_log_cap_mid_block(self):
+        cap = 1500
+        assert cap % EVENT_BLOCK != 0
+        model = ModelSpec("cl", WrappedNormalNoise(0.5))
+        runs = []
+        for record, log_cap in ((True, cap), (True, 10 * cap), (False, cap)):
+            rng = replica_rng(self.SEED, 0)
+            x0 = rng.random(self.N) * TWO_PI
+            runs.append(simulate(model, x0, self.T_END, rng, record_events=record,
+                                 event_log_cap=log_cap))
+        capped, full, unlogged = runs
+        assert full.n_events > 2 * EVENT_BLOCK and not full.events_truncated
+        assert len(capped.events) == cap and capped.events_truncated
+        assert capped.events == full.events[:cap]
+        for res in (full, unlogged):
+            assert res.n_events == capped.n_events
+            assert np.array_equal(res.final_state, capped.final_state)
 
     @pytest.mark.parametrize("kind", ["cl", "bdg", "kac"])
     def test_rows_independent_of_replica_count_and_workers(self, kind):
