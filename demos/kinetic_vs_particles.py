@@ -10,7 +10,6 @@ import numpy as np
 
 from pairjump import (
     FourierDensity,
-    KineticConfig,
     ModelSpec,
     UniformNoise,
     WrappedNormalNoise,
@@ -53,8 +52,7 @@ def midpoint_demo():
     ens = simulate_ensemble(ModelSpec("bdg", g), 1000, 0.5, [0.5], 100, SEED,
                             initial=f0)
     s = summarize(ens, kmax=2)
-    cfg = KineticConfig(M=256)
-    sol = fourier_coeffs(bdg_evolve(f0.tabulate(cfg.M), g, 0.5, cfg), 2)
+    sol = fourier_coeffs(bdg_evolve(f0.tabulate(256), g, 0.5), 2)
 
     print()
     print("midpoint model, wrapped-normal noise var=0.2, N=1000, R=100, t=0.5")

@@ -174,32 +174,33 @@ def cmd_kinetic(cfg, out: Path, config_hash: str, workers: int) -> int:
     t_end = float(_get(cfg, "t_end", (int, float), check=lambda v: v >= 0,
                        expect="a nonnegative time"))
     cps = _checkpoints_from(cfg, t_end)
+    kmax = _get(cfg, "K", int, required=False, default=64,
+                check=lambda v: v >= 1, expect="an integer >= 1")
+    M = _get(cfg, "M", int, required=False, default=256,
+             check=lambda v: v >= 2 and v & (v - 1) == 0, expect="a power of two >= 2")
     try:
         kcfg = KineticConfig(
             rate_factor=float(_get(cfg, "rate_factor", (int, float),
                                    required=False, default=2.0)),
-            K=_get(cfg, "K", int, required=False, default=64),
-            M=_get(cfg, "M", int, required=False, default=256),
             dt=float(_get(cfg, "dt", (int, float), required=False, default=0.02)),
-            t_end=t_end,
         )
     except ValueError as exc:
         raise ConfigError(f"config: {exc}") from exc
 
     rows = []
     if kind == "cl":
-        k = np.arange(-kcfg.K, kcfg.K + 1)
+        k = np.arange(-kmax, kmax + 1)
         f0 = FourierDensity(np.asarray(initial.fourier(k), dtype=complex))
         for t in cps:
             sol = cl_evolve(f0, noise, t, kcfg)
-            for ki in range(kcfg.K + 1):
+            for ki in range(kmax + 1):
                 rows.append((t, ki, sol.coeff(ki).real))
         _write_csv(out / "kinetic.csv", config_hash, ("t", "k", "fhat"), rows)
     else:
-        f0 = initial.tabulate(kcfg.M)
-        theta = np.arange(kcfg.M) * (TWO_PI / kcfg.M)
+        f0 = initial.tabulate(M)
+        theta = np.arange(M) * (TWO_PI / M)
         for t, sol in zip(cps, bdg_evolve_checkpoints(f0, noise, cps, kcfg)):
-            for m in range(kcfg.M):
+            for m in range(M):
                 rows.append((t, theta[m], sol.values[m]))
         _write_csv(out / "kinetic.csv", config_hash, ("t", "theta", "f"), rows)
     return 0

@@ -21,7 +21,13 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .circle import FourierDensity, GridDensity, fourier_coeffs, sample_grid_density
+from .circle import (
+    FourierDensity,
+    GridDensity,
+    density_from_coeffs,
+    fourier_coeffs,
+    sample_grid_density,
+)
 from .models import EnsembleResult
 
 __all__ = [
@@ -93,6 +99,11 @@ def _reference_pair_power(f: FourierDensity, kmax: int) -> np.ndarray:
     return np.abs(f.coeffs[f.K:f.K + kmax + 1]) ** 2
 
 
+def _distance(pair: np.ndarray, ref: np.ndarray) -> float:
+    # D = 2 sum_{0 < k <= K} (C(k) - |fhat(k)|^2)^2; the factor 2 counts -k
+    return float(2.0 * np.sum((pair - ref) ** 2))
+
+
 def chaos_distance(summary: EnsembleSummary, f: FourierDensity,
                    kmax: Optional[int] = None, checkpoint: int = -1) -> float:
     """Distance D between the pair statistic and the product-law prediction."""
@@ -100,8 +111,7 @@ def chaos_distance(summary: EnsembleSummary, f: FourierDensity,
     if K < 1 or K > summary.kmax:
         raise ValueError(f"kmax must be in 1..{summary.kmax}")
     ref = _reference_pair_power(f, K)
-    dev = summary.pair[checkpoint, 1:K + 1] - ref[1:]
-    return float(2.0 * np.sum(dev ** 2))
+    return _distance(summary.pair[checkpoint, 1:K + 1], ref[1:])
 
 
 def compare_flow(summary: EnsembleSummary, kinetic_coeffs: np.ndarray,
@@ -135,30 +145,21 @@ def iid_chaos_samples(f: Union[FourierDensity, GridDensity], n_particles: int,
     """Monte Carlo draws of D for i.i.d. ensembles from f (the noise floor).
 
     Each draw builds a fresh ensemble of n_replicas x n_particles independent
-    angles from f and evaluates the chaos distance against f itself.
+    angles from f, one checkpoint per replica, and evaluates the chaos
+    distance against f itself with the same estimator as ``chaos_distance``.
     """
     if isinstance(f, GridDensity):
         grid = f
         ref_density = fourier_coeffs(grid, kmax)
     else:
-        from .circle import density_from_coeffs
-
         grid = density_from_coeffs(f, max(grid_size, 2 * f.K + 2))
         ref_density = f
     ref = _reference_pair_power(ref_density, kmax)[1:]
-    N, R = n_particles, n_replicas
     out = np.empty(n_boot)
     for bi in range(n_boot):
-        angles = sample_grid_density(grid, rng, (R, N))
-        z = np.exp(-1j * angles)
-        powers = np.ones_like(z)
-        dev2 = 0.0
-        for k in range(1, kmax + 1):
-            powers = powers * z
-            S = powers.sum(axis=-1)
-            bstat = ((np.abs(S) ** 2 - N) / (N * (N - 1))).mean()
-            dev2 += (bstat - ref[k - 1]) ** 2
-        out[bi] = 2.0 * dev2
+        angles = sample_grid_density(grid, rng, (n_replicas, 1, n_particles))
+        _, b = _mode_stats(angles, kmax)
+        out[bi] = _distance(b[:, 0, 1:].mean(axis=0), ref)
     return out
 
 
@@ -173,8 +174,7 @@ def resample_chaos_samples(summary: EnsembleSummary, f: FourierDensity, n_boot: 
     out = np.empty(n_boot)
     for bi in range(n_boot):
         pick = rng.integers(R, size=R)
-        dev = b[pick].mean(axis=0) - ref
-        out[bi] = 2.0 * np.sum(dev ** 2)
+        out[bi] = _distance(b[pick].mean(axis=0), ref)
     return out
 
 

@@ -33,6 +33,11 @@ __all__ = [
     "pair_difference_profile",
 ]
 
+# Cap on the COO entries build_transition emits: M^N states times N(N-1)
+# times M (cl) or M^2 (bdg). Assembly holds about 48 bytes per entry (the
+# per-block lists, then their concatenation), so the cap is about 1.6 GB.
+ENTRY_CAP = 2 ** 25
+
 
 @dataclass(eq=False)
 class TransitionMatrix:
@@ -84,20 +89,18 @@ class JointDensity:
         return cls(n_particles, m.size, out)
 
 
-def build_transition(model: ModelSpec, n_particles: int, grid_size: int,
-                     state_cap: int = 200_000) -> TransitionMatrix:
+def build_transition(model: ModelSpec, n_particles: int, grid_size: int) -> TransitionMatrix:
     """Assemble the exact one-jump transition matrix.
 
     Covers the circle models (cl, bdg); the energy sphere of the kac model
-    is not a grid discretization target. Raises if M^N exceeds state_cap.
+    is not a grid discretization target. Raises, before allocating anything,
+    if the assembly would emit more than ENTRY_CAP matrix entries.
 
     Parameters
     ----------
     model : ModelSpec
     n_particles, grid_size : int
         N >= 2 particles on the M-point grid.
-    state_cap : int
-        Guard on the state-space size M^N.
     """
     N, M = n_particles, grid_size
     if model.kind == "kac":
@@ -105,8 +108,10 @@ def build_transition(model: ModelSpec, n_particles: int, grid_size: int,
     if N < 2:
         raise ValueError("n_particles must be >= 2")
     n_states = M ** N
-    if n_states > state_cap:
-        raise ValueError(f"state space M^N = {n_states} exceeds cap {state_cap}")
+    n_entries = n_states * N * (N - 1) * (M if model.kind == "cl" else M * M)
+    if n_entries > ENTRY_CAP:
+        raise ValueError(f"state space M^N = {n_states} needs {n_entries} matrix "
+                         f"entries, over the cap of {ENTRY_CAP}")
 
     gm = model.noise.tabulate(M).masses
     x = np.arange(n_states, dtype=np.int64)

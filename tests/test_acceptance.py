@@ -4,7 +4,8 @@ Each scenario runs end-to-end through the public API with the fixed master
 seed and prints one summary line; assertion details (measured value, bound,
 verdict) are attached to the failure message when a scenario does not pass.
 The scenarios are ordered: A6 reuses the rate factor selected by A5, and A7
-reruns all earlier scenarios to confirm byte-identical reports.
+checks each earlier scenario's report against one fresh rerun to confirm
+byte-identical reports.
 """
 
 import pytest

@@ -185,6 +185,16 @@ class TestKinetic:
                      "--out", str(tmp_path / "o"), "--threads", "1"]) != 0
         assert "dt" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field,value", [("M", 100), ("M", 1), ("K", 0)])
+    def test_rejects_bad_sizes_naming_field(self, tmp_path, capsys, field, value):
+        cfg = write_config(tmp_path, "kin.json", {
+            "model": "bdg", "noise": {"kind": "uniform"},
+            "initial": {"kind": "wrapped_normal", "param": 0.5},
+            "t_end": 0.1, field: value})
+        assert main(["kinetic", "--config", str(cfg),
+                     "--out", str(tmp_path / "o"), "--threads", "1"]) == 2
+        assert f"'{field}'" in capsys.readouterr().err
+
 
 class TestInvariant:
     def test_heat_kernel_columns(self, tmp_path):

@@ -74,8 +74,6 @@ class TestConfig:
         {"dt": 0.06},                       # > 0.1/2
         {"dt": 0.0},
         {"rate_factor": 1.0, "dt": 0.11},   # > 0.1/1
-        {"K": 0},
-        {"t_end": -1.0},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -272,7 +270,7 @@ class TestGain:
 
 
 class TestBdgEvolve:
-    CFG = KineticConfig(rate_factor=2.0, dt=0.02, M=256)
+    CFG = KineticConfig(rate_factor=2.0, dt=0.02)
 
     def test_uniform_fixed_point(self):
         M = 64
@@ -306,7 +304,7 @@ class TestBdgEvolve:
         s = 17
         f0 = WrappedNormalNoise(0.4).tabulate(M)
         g = WrappedNormalNoise(0.2)
-        cfg = KineticConfig(rate_factor=2.0, dt=0.02, M=M)
+        cfg = KineticConfig(rate_factor=2.0, dt=0.02)
         rotated = GridDensity(np.roll(f0.values, s))
         a = bdg_evolve(rotated, g, 1.0, cfg)
         b = np.roll(bdg_evolve(f0, g, 1.0, cfg).values, s)

@@ -110,6 +110,12 @@ class TestBuildTransition:
         with pytest.raises(ValueError, match="1048576"):
             build_transition(ModelSpec("cl", UniformNoise()), 10, 4)
 
+    def test_entry_cap_refuses_bdg_before_assembly(self):
+        # 16^4 = 65536 states is a small state space, but bdg would emit
+        # 16^4 * 12 * 16^2 = 2.0e8 entries (about 10 GB to assemble)
+        with pytest.raises(ValueError, match="201326592"):
+            build_transition(ModelSpec("bdg", UniformNoise()), 4, 16)
+
     def test_kac_rejected(self):
         with pytest.raises(ValueError):
             build_transition(ModelSpec("kac", UniformNoise()), 2, 8)
