@@ -72,6 +72,6 @@ from .oracle import (
     pair_difference_profile,
     stationary,
 )
-from .verify import run_all, run_scenario
+from .verify import run_scenario
 
 __version__ = "0.1.0"

@@ -36,7 +36,7 @@ from .invariant import (
     limit_profile,
     pair_correlation_closed,
 )
-from .kinetic import KineticConfig, bdg_evolve_checkpoints, cl_evolve
+from .kinetic import RATE_FACTOR, KineticConfig, bdg_evolve_checkpoints, cl_evolve
 from .models import ModelSpec, simulate_ensemble
 from .oracle import build_transition, marginal, stationary
 from .verify import MASTER_SEED, SCENARIOS, report_dict, run_scenario
@@ -178,12 +178,12 @@ def cmd_kinetic(cfg, out: Path, config_hash: str, workers: int) -> int:
                 check=lambda v: v >= 1, expect="an integer >= 1")
     M = _get(cfg, "M", int, required=False, default=256,
              check=lambda v: v >= 2 and v & (v - 1) == 0, expect="a power of two >= 2")
+    if "rate_factor" in cfg:
+        raise ConfigError("config field 'rate_factor': not a setting; the kinetic "
+                          f"time scale is fixed (RATE_FACTOR = {RATE_FACTOR:g})")
     try:
         kcfg = KineticConfig(
-            rate_factor=float(_get(cfg, "rate_factor", (int, float),
-                                   required=False, default=2.0)),
-            dt=float(_get(cfg, "dt", (int, float), required=False, default=0.02)),
-        )
+            dt=float(_get(cfg, "dt", (int, float), required=False, default=0.02)))
     except ValueError as exc:
         raise ConfigError(f"config: {exc}") from exc
 
@@ -192,7 +192,7 @@ def cmd_kinetic(cfg, out: Path, config_hash: str, workers: int) -> int:
         k = np.arange(-kmax, kmax + 1)
         f0 = FourierDensity(np.asarray(initial.fourier(k), dtype=complex))
         for t in cps:
-            sol = cl_evolve(f0, noise, t, kcfg)
+            sol = cl_evolve(f0, noise, t)
             for ki in range(kmax + 1):
                 rows.append((t, ki, sol.coeff(ki).real))
         _write_csv(out / "kinetic.csv", config_hash, ("t", "k", "fhat"), rows)
@@ -244,6 +244,9 @@ def cmd_oracle(cfg, out: Path, config_hash: str, workers: int) -> int:
         if (not isinstance(coords, list) or not coords
                 or any(isinstance(c, bool) or not isinstance(c, int) for c in coords)):
             raise ConfigError(f"config field 'marginals[{i}]': expected a list of coordinates")
+        if len(set(coords)) != len(coords) or min(coords) < 0 or max(coords) >= n:
+            raise ConfigError(f"config field 'marginals[{i}]': coordinates must be "
+                              f"distinct and in 0..{n - 1}, got {coords!r}")
 
     try:
         tm = build_transition(ModelSpec(kind, noise), n, m)

@@ -17,17 +17,11 @@ probability as N grows when propagation of chaos holds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
-from .circle import (
-    FourierDensity,
-    GridDensity,
-    density_from_coeffs,
-    fourier_coeffs,
-    sample_grid_density,
-)
+from .circle import FourierDensity, density_from_coeffs, sample_grid_density
 from .models import EnsembleResult
 
 __all__ = [
@@ -42,6 +36,7 @@ __all__ = [
 ]
 
 DEFAULT_KMAX = 16
+FLOOR_GRID = 512  # cells of the grid the i.i.d. floor draws its angles from
 
 
 def _mode_stats(snapshots: np.ndarray, kmax: int):
@@ -71,7 +66,6 @@ class EnsembleSummary:
     f1_se: np.ndarray        # (T, kmax+1)
     pair: np.ndarray         # (T, kmax+1) real pair statistic C(k)
     pair_se: np.ndarray
-    f1_reps: np.ndarray      # (R, T, kmax+1) per-replica a_r(k), kept for resampling
     pair_reps: np.ndarray    # (R, T, kmax+1) per-replica b_r(k)
 
 
@@ -90,7 +84,7 @@ def summarize(result: EnsembleResult, kmax: int = DEFAULT_KMAX) -> EnsembleSumma
     pair_se = np.sqrt(b.var(axis=0, ddof=1) / R)
     return EnsembleSummary(times=result.times, n_replicas=R, n_particles=N, kmax=kmax,
                            f1=f1, f1_se=f1_se, pair=pair, pair_se=pair_se,
-                           f1_reps=a, pair_reps=b)
+                           pair_reps=b)
 
 
 def _reference_pair_power(f: FourierDensity, kmax: int) -> np.ndarray:
@@ -139,22 +133,18 @@ def compare_flow(summary: EnsembleSummary, kinetic_coeffs: np.ndarray,
     return z
 
 
-def iid_chaos_samples(f: Union[FourierDensity, GridDensity], n_particles: int,
-                      n_replicas: int, kmax: int, n_boot: int,
-                      rng: np.random.Generator, grid_size: int = 512) -> np.ndarray:
+def iid_chaos_samples(f: FourierDensity, n_particles: int, n_replicas: int, kmax: int,
+                      n_boot: int, rng: np.random.Generator) -> np.ndarray:
     """Monte Carlo draws of D for i.i.d. ensembles from f (the noise floor).
 
     Each draw builds a fresh ensemble of n_replicas x n_particles independent
     angles from f, one checkpoint per replica, and evaluates the chaos
     distance against f itself with the same estimator as ``chaos_distance``.
+    The angles are drawn from f tabulated on FLOOR_GRID cells (more if f has
+    more modes).
     """
-    if isinstance(f, GridDensity):
-        grid = f
-        ref_density = fourier_coeffs(grid, kmax)
-    else:
-        grid = density_from_coeffs(f, max(grid_size, 2 * f.K + 2))
-        ref_density = f
-    ref = _reference_pair_power(ref_density, kmax)[1:]
+    grid = density_from_coeffs(f, max(FLOOR_GRID, 2 * f.K + 2))
+    ref = _reference_pair_power(f, kmax)[1:]
     out = np.empty(n_boot)
     for bi in range(n_boot):
         angles = sample_grid_density(grid, rng, (n_replicas, 1, n_particles))

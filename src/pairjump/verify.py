@@ -28,14 +28,7 @@ from .circle import (
 )
 from .diagnostics import chaos_distance, compare_flow, iid_chaos_samples, summarize
 from .invariant import heat_kernel_family, pair_correlation_closed, pair_correlation_series
-from .kinetic import (
-    DEFAULT_RATE_FACTOR,
-    KineticConfig,
-    bdg_evolve,
-    bdg_gain,
-    bisector_tables,
-    cl_evolve,
-)
+from .kinetic import RATE_FACTOR, KineticConfig, bdg_evolve, bdg_gain, bisector_tables, cl_evolve
 from .models import ModelSpec, replica_rng, sample_kac_state, simulate, simulate_ensemble
 from .oracle import build_transition, marginal, pair_difference_profile, stationary
 
@@ -45,7 +38,6 @@ __all__ = [
     "Check",
     "ScenarioReport",
     "run_scenario",
-    "run_all",
     "report_dict",
     "canonical_bytes",
 ]
@@ -216,8 +208,8 @@ def _a5(seed: int, workers: int):
         checks.append(_check(f"max |z| at rate_factor={other:g} (excluded)",
                              zmax[other], "> 8", zmax[other] > 8.0))
         checks.append(_check("selected rate factor is the library default",
-                             selected, f"== {DEFAULT_RATE_FACTOR:g}",
-                             selected == DEFAULT_RATE_FACTOR))
+                             selected, f"== {RATE_FACTOR:g}",
+                             selected == RATE_FACTOR))
     details = {
         "selected_rate_factor": selected,
         "max_abs_z": {f"{rf:g}": zmax[rf] for rf in zmax},
@@ -240,10 +232,9 @@ def _quadrature_gain(f: GridDensity, g: NoiseSpec) -> np.ndarray:
 
 def _a6(seed: int, workers: int):
     """Midpoint-model ensemble vs the grid kinetic solver, plus solver checks."""
-    rate_factor = selected_rate_factor(seed, workers)
     g = WrappedNormalNoise(0.2)
     f0 = WrappedNormalNoise(0.5)
-    cfg = KineticConfig(rate_factor=rate_factor, dt=0.02)
+    cfg = KineticConfig(dt=0.02)
 
     ens = simulate_ensemble(ModelSpec("bdg", g), 2000, 0.5, [0.5], 200, seed,
                             initial=f0, workers=workers)
@@ -252,7 +243,7 @@ def _a6(seed: int, workers: int):
     f_kin = fourier_coeffs(bdg_evolve(f0_grid, g, 0.5, cfg), 2)
 
     checks = []
-    details = {"rate_factor": rate_factor, "abs_z": {}}
+    details = {"rate_factor": RATE_FACTOR, "abs_z": {}}
     for k in (1, 2):
         z = abs(s.f1[0, k] - f_kin.coeff(k)) / s.f1_se[0, k]
         checks.append(_check(f"|z| of mode {k} vs kinetic solution", z, "< 4", z < 4.0))
@@ -263,7 +254,7 @@ def _a6(seed: int, workers: int):
     checks.append(_check("gain vs quadrature reference at M=256", gain_dev,
                          "< 1e-08", gain_dev < 1e-8))
 
-    cfg_half = KineticConfig(rate_factor=rate_factor, dt=cfg.dt / 2)
+    cfg_half = KineticConfig(dt=cfg.dt / 2)
     conv = float(np.max(np.abs(bdg_evolve(f0_grid, g, 0.5, cfg).masses
                                - bdg_evolve(f0_grid, g, 0.5, cfg_half).masses)))
     checks.append(_check("self-convergence under dt halving", conv,
@@ -328,15 +319,6 @@ SCENARIOS = {
 _report_cache: Dict[tuple, ScenarioReport] = {}
 
 
-def selected_rate_factor(master_seed: int = MASTER_SEED, workers: int = 1) -> float:
-    """Rate factor chosen by the arbitration scenario (cached per seed)."""
-    rep = run_scenario("A5", master_seed, workers)
-    selected = rep.details["selected_rate_factor"]
-    if selected is None:
-        raise RuntimeError("rate-factor arbitration was inconclusive")
-    return float(selected)
-
-
 def run_scenario(name: str, master_seed: int = MASTER_SEED, workers: int = 1,
                  fresh: bool = False) -> ScenarioReport:
     """Run one named scenario; results are cached per (name, seed) unless fresh."""
@@ -358,10 +340,3 @@ def run_scenario(name: str, master_seed: int = MASTER_SEED, workers: int = 1,
     )
     _report_cache[key] = report
     return report
-
-
-def run_all(names=None, master_seed: int = MASTER_SEED,
-            workers: int = 1) -> List[ScenarioReport]:
-    if names is None:
-        names = sorted(SCENARIOS)
-    return [run_scenario(n, master_seed, workers) for n in names]

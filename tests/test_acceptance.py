@@ -3,14 +3,15 @@
 Each scenario runs end-to-end through the public API with the fixed master
 seed and prints one summary line; assertion details (measured value, bound,
 verdict) are attached to the failure message when a scenario does not pass.
-The scenarios are ordered: A6 reuses the rate factor selected by A5, and A7
-checks each earlier scenario's report against one fresh rerun to confirm
-byte-identical reports.
+Each scenario stands alone: A5 checks the library's fixed rate factor and A6
+uses it without running A5. A7 checks each earlier scenario's report against
+one fresh rerun to confirm byte-identical reports.
 """
 
 import pytest
 
-from pairjump.verify import run_scenario
+from pairjump.kinetic import RATE_FACTOR
+from pairjump.verify import MASTER_SEED, SCENARIOS, run_scenario
 
 
 def format_report(report):
@@ -28,3 +29,13 @@ def test_criterion(name):
     text = format_report(report)
     print(text)
     assert report.passed, text
+
+
+def test_a6_does_not_run_a5(monkeypatch):
+    def refuse(seed, workers):
+        raise AssertionError("A6 ran A5")
+
+    monkeypatch.setitem(SCENARIOS, "A5", (SCENARIOS["A5"][0], refuse))
+    report = run_scenario("A6", MASTER_SEED + 1, fresh=True)
+    assert report.scenario == "A6"
+    assert report.details["rate_factor"] == RATE_FACTOR

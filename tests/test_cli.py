@@ -185,7 +185,8 @@ class TestKinetic:
                      "--out", str(tmp_path / "o"), "--threads", "1"]) != 0
         assert "dt" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("field,value", [("M", 100), ("M", 1), ("K", 0)])
+    @pytest.mark.parametrize("field,value", [("M", 100), ("M", 1), ("K", 0),
+                                             ("rate_factor", 1.0)])
     def test_rejects_bad_sizes_naming_field(self, tmp_path, capsys, field, value):
         cfg = write_config(tmp_path, "kin.json", {
             "model": "bdg", "noise": {"kind": "uniform"},
@@ -253,6 +254,20 @@ class TestOracle:
         assert main(["oracle", "--config", str(cfg),
                      "--out", str(tmp_path / "o"), "--threads", "1"]) != 0
         assert "1048576" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("coords", [[0, 5], [1, 1]], ids=["out-of-range", "repeated"])
+    def test_rejects_bad_marginals_before_building(self, tmp_path, capsys, monkeypatch,
+                                                  coords):
+        def refuse(*args):
+            raise AssertionError("transition matrix built before validation")
+
+        monkeypatch.setattr("pairjump.cli.build_transition", refuse)
+        cfg = write_config(tmp_path, "orc.json", {
+            "model": "cl", "n_particles": 3, "M": 4, "noise": {"kind": "uniform"},
+            "marginals": [[0], coords]})
+        assert main(["oracle", "--config", str(cfg),
+                     "--out", str(tmp_path / "o"), "--threads", "1"]) == 2
+        assert "marginals[1]" in capsys.readouterr().err
 
 
 class TestVerify:

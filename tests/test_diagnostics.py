@@ -218,11 +218,6 @@ class TestSampleDraws:
         assert np.array_equal(a, b)
         assert np.all(a >= 0.0)
 
-    def test_iid_chaos_samples_accepts_grid(self):
-        grid = WrappedNormalNoise(0.3).tabulate(256)
-        out = iid_chaos_samples(grid, 30, 20, 4, 10, np.random.default_rng(8))
-        assert out.shape == (10,)
-
     def test_resample_of_aligned_ensemble_is_constant(self):
         s = summarize(aligned_result(), kmax=3)
         boot = resample_chaos_samples(s, uniform_reference(3), 50,

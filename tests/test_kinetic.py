@@ -12,6 +12,7 @@ from pairjump.circle import (
     fourier_coeffs,
 )
 from pairjump.kinetic import (
+    RATE_FACTOR,
     KineticConfig,
     bdg_evolve,
     bdg_evolve_checkpoints,
@@ -65,22 +66,22 @@ def triple_loop_gain(f: GridDensity, g) -> np.ndarray:
 
 class TestConfig:
     def test_defaults(self):
-        cfg = KineticConfig()
-        assert cfg.rate_factor == 2.0
+        assert RATE_FACTOR == 2.0
+        assert KineticConfig().dt == 0.02
 
     @pytest.mark.parametrize("kwargs", [
-        {"rate_factor": 0.0},
-        {"rate_factor": -1.0},
+        {"dt": -0.02},
+        {"dt": 0.0500001},                  # just past 0.1/2
         {"dt": 0.06},                       # > 0.1/2
         {"dt": 0.0},
-        {"rate_factor": 1.0, "dt": 0.11},   # > 0.1/1
+        {"dt": 0.11},                       # > 0.1/1, the old bound at half the rate
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             KineticConfig(**kwargs)
 
     def test_dt_bound_scales_with_rate(self):
-        KineticConfig(rate_factor=1.0, dt=0.1)  # allowed at the boundary
+        KineticConfig(dt=0.1 / RATE_FACTOR)  # allowed at the boundary, dt = 0.05
 
 
 class TestClEvolve:
@@ -98,24 +99,16 @@ class TestClEvolve:
 
     def test_uniform_noise_mode_decay(self):
         f0 = wn_coeffs(0.5, 4)
-        out = cl_evolve(f0, UniformNoise(), 1.0, KineticConfig(rate_factor=2.0))
+        out = cl_evolve(f0, UniformNoise(), 1.0)
         assert out.coeff(1) == pytest.approx(f0.coeff(1) * np.exp(-1.0), abs=1e-14)
 
     @pytest.mark.parametrize("k", [1, 2, 5])
     def test_against_mode_ode_integration(self, k):
         g = WrappedNormalNoise(0.4)
         f0 = wn_coeffs(0.5, 8)
-        cfg = KineticConfig(rate_factor=2.0)
-        out = cl_evolve(f0, g, 1.7, cfg)
-        want = rk4_mode_ode(f0.coeff(k), float(g.fourier(k)), 2.0, 1.7)
+        out = cl_evolve(f0, g, 1.7)
+        want = rk4_mode_ode(f0.coeff(k), float(g.fourier(k)), RATE_FACTOR, 1.7)
         assert out.coeff(k) == pytest.approx(want, abs=1e-10)
-
-    def test_rate_factor_scales_time(self):
-        f0 = wn_coeffs(0.5, 8)
-        g = WrappedNormalNoise(0.4)
-        a = cl_evolve(f0, g, 2.0, KineticConfig(rate_factor=1.0, dt=0.05))
-        b = cl_evolve(f0, g, 1.0, KineticConfig(rate_factor=2.0))
-        assert_allclose(a.coeffs, b.coeffs, rtol=0, atol=1e-15)
 
     def test_mass_mode_fixed(self):
         f0 = wn_coeffs(0.5, 8)
@@ -223,6 +216,20 @@ class TestPushforward:
         out = bdg_midpoint_pushforward(d)
         assert out.masses.sum() == pytest.approx(1.0, abs=1e-12)
 
+    def test_converges_to_spectral_law_like_inverse_m_squared(self):
+        # the shorter-arc midpoint law of two i.i.d. angles has modes
+        # mu_hat(k) = sum_p fhat(p) fhat(k - p) sinc((k - 2p) / 2), a reference
+        # that shares nothing with the bisector tables
+        f = WrappedNormalNoise(0.5)
+        p = np.arange(-60, 61)
+        want = np.array([np.sum(f.fourier(p) * f.fourier(k - p) * np.sinc((k - 2 * p) / 2))
+                         for k in range(-8, 9)])
+        err = {M: np.max(np.abs(fourier_coeffs(bdg_midpoint_pushforward(f.tabulate(M)),
+                                               8).coeffs - want))
+               for M in (256, 512)}
+        assert 3.5 <= err[256] / err[512] <= 4.5
+        assert err[512] < 5e-5
+
 
 class TestGain:
     def test_uniform_density_fixed(self):
@@ -270,7 +277,7 @@ class TestGain:
 
 
 class TestBdgEvolve:
-    CFG = KineticConfig(rate_factor=2.0, dt=0.02)
+    CFG = KineticConfig(dt=0.02)
 
     def test_uniform_fixed_point(self):
         M = 64
@@ -286,8 +293,8 @@ class TestBdgEvolve:
     def test_dt_halving(self):
         f0 = WrappedNormalNoise(0.3).tabulate(256)
         g = WrappedNormalNoise(0.1)
-        a = bdg_evolve(f0, g, 1.0, KineticConfig(rate_factor=2.0, dt=0.02))
-        b = bdg_evolve(f0, g, 1.0, KineticConfig(rate_factor=2.0, dt=0.01))
+        a = bdg_evolve(f0, g, 1.0, KineticConfig(dt=0.02))
+        b = bdg_evolve(f0, g, 1.0, KineticConfig(dt=0.01))
         assert np.max(np.abs(a.values - b.values)) < 1e-6
 
     def test_mass_conserved(self):
@@ -304,7 +311,7 @@ class TestBdgEvolve:
         s = 17
         f0 = WrappedNormalNoise(0.4).tabulate(M)
         g = WrappedNormalNoise(0.2)
-        cfg = KineticConfig(rate_factor=2.0, dt=0.02)
+        cfg = KineticConfig(dt=0.02)
         rotated = GridDensity(np.roll(f0.values, s))
         a = bdg_evolve(rotated, g, 1.0, cfg)
         b = np.roll(bdg_evolve(f0, g, 1.0, cfg).values, s)
