@@ -41,8 +41,7 @@ SIMULATE_CASES = (
     ("bdg_wn", "bdg", ("WrappedNormalNoise", 0.2), 200, 1000.0),
 )
 REPLAY_CASE = ("cl", 200, 1000.0)
-E2E_METRICS = ("wall_s", "cpu_s", "setup_s", "peak_rss_mb")
-LOWER_IS_BETTER = set(E2E_METRICS)
+E2E_METRICS = ("wall_s", "cpu_s", "setup_s", "peak_rss_mb")  # lower is better
 
 
 def _noise(circle, spec):
@@ -87,8 +86,8 @@ def _run(cmd, cwd) -> str:
     return out.stdout
 
 
-def _layers(root: Path) -> dict:
-    out = _run([sys.executable, str(Path(__file__).resolve()), "--layers", str(root)], root)
+def _layers(script: Path, root: Path) -> dict:
+    out = _run([sys.executable, str(script), "--layers", str(root)], root)
     return json.loads(out.splitlines()[-1])
 
 
@@ -101,9 +100,9 @@ def _perfbench(root: Path, workload: str, seed: int, seconds: float) -> dict:
     return {name: line["metrics"][name]["value"] for name in E2E_METRICS}
 
 
-def _summary(name: str, parent: list, change: list) -> dict:
+def summary(parent: list, change: list, lower: bool) -> dict:
+    """Medians, quartiles and the pairs the change won, for one metric."""
     p, c = np.asarray(parent), np.asarray(change)
-    lower = name in LOWER_IS_BETTER or name.split(".")[0] in LOWER_IS_BETTER
     won = int(np.sum(c < p) if lower else np.sum(c > p))
     q = lambda x: [round(float(v), 6) for v in np.quantile(x, [0.25, 0.75])]  # noqa: E731
     return {"parent_median": round(float(np.median(p)), 6),
@@ -115,38 +114,63 @@ def _summary(name: str, parent: list, change: list) -> dict:
             "change_runs": [round(float(v), 6) for v in c]}
 
 
-def compare(parent: Path, change: Path, repeats: int, seeds, workloads, seconds) -> dict:
+def alternate(k: int):
+    return ("parent", "change") if k % 2 == 0 else ("change", "parent")
+
+
+def machine() -> str:
+    return (f"{os.cpu_count()} CPUs, {platform.processor() or platform.machine()}, "
+            f"{platform.system()}, Python {platform.python_version()}, numpy {np.__version__}")
+
+
+METHOD = ("one fresh process per side and repeat, alternating which side runs first; "
+          "medians and quartiles over repeats (layers) or seeds (workloads)")
+
+
+def compare_layers(script: Path, parent: Path, change: Path, repeats: int, lower) -> dict:
+    """Run ``script --layers ROOT`` for each side, alternating, and summarize.
+
+    ``lower(name)`` says whether a smaller value of a metric is better. Values
+    that are not numbers (output digests) are listed per side instead.
+    """
     runs = {"parent": [], "change": []}
     for k in range(repeats):
-        order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
-        for side in order:
-            runs[side].append(_layers(parent if side == "parent" else change))
+        for side in alternate(k):
+            runs[side].append(_layers(script, parent if side == "parent" else change))
         print(f"layers repeat {k}: " + json.dumps(runs["change"][-1]), file=sys.stderr)
-    layers = {name: _summary(name, [r[name] for r in runs["parent"]],
-                             [r[name] for r in runs["change"]])
-              for name in runs["parent"][0]}
+    metrics = {}
+    for name, first in runs["parent"][0].items():
+        per = {side: [r[name] for r in runs[side]] for side in runs}
+        if isinstance(first, (int, float)):
+            metrics[name] = summary(per["parent"], per["change"], lower(name))
+        else:
+            metrics[name] = {side: sorted(set(v)) for side, v in per.items()}
+    return {"repeats": repeats, "metrics": metrics}
 
+
+def compare_workloads(parent: Path, change: Path, seeds, workloads, seconds) -> dict:
+    """``perfbench/run.py`` end-to-end metrics per workload, sides alternating by seed."""
     e2e = {}
     for w in workloads:
         per = {"parent": [], "change": []}
         for k, seed in enumerate(seeds):
-            order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
-            for side in order:
+            for side in alternate(k):
                 per[side].append(_perfbench(parent if side == "parent" else change,
                                             w, seed, seconds))
             print(f"{w} seed {seed}: parent {per['parent'][-1]['wall_s']:.3f} s, "
                   f"change {per['change'][-1]['wall_s']:.3f} s", file=sys.stderr)
         e2e[w] = {"seeds": list(seeds),
-                  "metrics": {m: _summary(m, [r[m] for r in per["parent"]],
-                                          [r[m] for r in per["change"]])
+                  "metrics": {m: summary([r[m] for r in per["parent"]],
+                                         [r[m] for r in per["change"]], True)
                               for m in E2E_METRICS}}
-    return {"machine": f"{os.cpu_count()} CPUs, {platform.processor() or platform.machine()}, "
-                       f"{platform.system()}, Python {platform.python_version()}, "
-                       f"numpy {np.__version__}",
-            "method": "one fresh process per side and repeat, alternating which side runs "
-                      "first; medians and quartiles over repeats (layers) or seeds (workloads)",
-            "layers": {"repeats": repeats, "metrics": layers},
-            "workloads": e2e}
+    return e2e
+
+
+def compare(parent: Path, change: Path, repeats: int, seeds, workloads, seconds) -> dict:
+    return {"machine": machine(), "method": METHOD,
+            "layers": compare_layers(Path(__file__).resolve(), parent, change, repeats,
+                                     lambda name: False),  # event rates
+            "workloads": compare_workloads(parent, change, seeds, workloads, seconds)}
 
 
 def main(argv=None) -> int:

@@ -13,6 +13,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.special import ive
@@ -98,6 +99,11 @@ class GridDensity:
     def masses(self) -> np.ndarray:
         """Cell masses values * (2*pi/M); they sum to 1."""
         return self.values * (TWO_PI / self.M)
+
+    @cached_property
+    def _sampling_table(self):
+        # built on the first draw and kept, so repeated draws share it
+        return _cell_table(self.values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,6 +267,7 @@ class TabulatedNoise(NoiseSpec):
 
     values: np.ndarray
     _cum: np.ndarray = field(init=False, repr=False, compare=False)
+    _start: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         grid = GridDensity.from_unnormalized(self.values)
@@ -269,9 +276,9 @@ class TabulatedNoise(NoiseSpec):
         if even_defect > 1e-9:
             raise ValueError(f"tabulated noise must be even; defect {even_defect:.3e}")
         object.__setattr__(self, "values", v)
-        cum = np.cumsum(grid.masses)
-        cum[-1] = 1.0
+        cum, start = _cell_table(v)
         object.__setattr__(self, "_cum", cum)
+        object.__setattr__(self, "_start", start)
 
     @property
     def M(self) -> int:
@@ -288,7 +295,7 @@ class TabulatedNoise(NoiseSpec):
         return self.values[cells]
 
     def sample(self, rng, size):
-        return _sample_cells(self.values, self._cum, rng, size)
+        return _sample_cells(self.values, self._cum, self._start, rng, size)
 
     def tabulate(self, M: int) -> GridDensity:
         if M == self.M:
@@ -304,21 +311,67 @@ class TabulatedNoise(NoiseSpec):
 # operations
 
 
-def _sample_cells(values, cum, rng, size):
-    # inverse CDF over cells centered at theta_m, uniform within each cell
+GUIDE_SLOTS_PER_CELL = 16
+
+
+def _cell_table(values):
+    """Cumulative cell masses of a grid density and their guide table.
+
+    The guide table of Chen and Asau (1974) has G = 16*M slots; start[j] is
+    the first cell whose cumulative mass exceeds j/G, i.e.
+    searchsorted(cum, j/G, "right").
+    """
+    cum = np.cumsum(values * (TWO_PI / values.size))
+    cum[-1] = 1.0
+    G = GUIDE_SLOTS_PER_CELL * values.size
+    return cum, np.searchsorted(cum, np.arange(G) / G, side="right")
+
+
+def _guide_cells(cum, start, u):
+    """``np.searchsorted(cum, u, side="right")`` through the guide table.
+
+    Slot j = floor(u*G) gives start[j], then each index steps forward while
+    cum[idx] <= u. M and G are powers of two, so u*G and j/G are exact and
+    start[j] never lies past the answer: for u in [0, 1) the cells equal
+    searchsorted's index for index. Most u need no step at all.
+    """
+    flat = u.reshape(-1)
+    idx = start[(flat * start.size).astype(np.intp)]
+    late = np.flatnonzero(cum[idx] <= flat)
+    while late.size:
+        idx[late] += 1
+        late = late[cum[idx[late]] <= flat[late]]
+    return idx.reshape(u.shape)
+
+
+def _sample_cells(values, cum, start, rng, size):
+    """Inverse-CDF draws over cells centered at theta_m, uniform within each cell.
+
+    Takes one ``rng.random(size)``. The cells come from the guide table
+    (``_guide_cells``) and equal ``searchsorted(cum, u, "right")`` index for
+    index, so the angles are those of a binary search, bit for bit.
+    """
     M = values.size
     u = rng.random(size)
-    idx = np.searchsorted(cum, u, side="right")
+    idx = _guide_cells(cum, start, u)
     lo = np.concatenate(([0.0], cum))[idx]
     frac = (u - lo) / (values[idx] * (TWO_PI / M))
-    return (idx - 0.5 + frac) * (TWO_PI / M) % TWO_PI
+    theta = (idx - 0.5 + frac) * (TWO_PI / M)
+    # the remainder leaves [0, 2*pi) unchanged, so apply it only outside;
+    # finite angles fall below 0 only in cell 0
+    outside = ~((theta >= 0.0) & (theta < TWO_PI))
+    np.remainder(theta, TWO_PI, out=theta, where=outside)
+    return theta
 
 
 def sample_grid_density(d: GridDensity, rng: np.random.Generator, size):
-    """Draw angles from the piecewise-constant carrier of a grid density."""
-    cum = np.cumsum(d.masses)
-    cum[-1] = 1.0
-    return _sample_cells(d.values, cum, rng, size)
+    """Draw angles from the piecewise-constant carrier of a grid density.
+
+    Cells come from the inverse CDF of the cell masses through a guide table
+    (Chen and Asau 1974) that ``d`` builds on its first draw and keeps; they
+    equal ``np.searchsorted(cum, u, side="right")`` index for index.
+    """
+    return _sample_cells(d.values, *d._sampling_table, rng, size)
 
 
 def fourier_coeffs(d: GridDensity, K: int) -> FourierDensity:

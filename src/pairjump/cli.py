@@ -6,7 +6,9 @@ JSON config, writes its artifacts into --out, and is a pure function of
 output byte for byte. CSV files start with a comment line carrying the
 package version and the SHA-256 of the config file; floats are written with
 17 significant digits. The JSON report of `verify` carries the same fields
-inline, since a comment line would break JSON parsers.
+inline, since a comment line would break JSON parsers. `verify` also writes a
+`run.json` sidecar with each scenario's wall time, which varies between runs
+and is kept out of `verify.json`.
 """
 
 from __future__ import annotations
@@ -120,6 +122,12 @@ def _write_csv(path: Path, config_hash: str, columns, rows) -> None:
         fh.write(",".join(columns) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
+
+
+def _write_json(path: Path, payload: dict) -> None:
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -283,9 +291,15 @@ def cmd_verify(cfg, out: Path, config_hash: str, workers: int) -> int:
         "passed": all(r.passed for r in reports),
         "scenarios": [report_dict(r) for r in reports],
     }
-    with open(out / "verify.json", "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "verify.json", payload)
+    # timings vary from run to run, so they go to a sidecar and verify.json
+    # stays byte-identical
+    _write_json(out / "run.json", {
+        "pairjump": __version__,
+        "config_sha256": config_hash,
+        "command": "verify",
+        "scenarios": [{"scenario": r.scenario, "elapsed_s": r.elapsed_s} for r in reports],
+    })
     return 0 if payload["passed"] else 1
 
 

@@ -37,23 +37,33 @@ __all__ = [
 
 DEFAULT_KMAX = 16
 FLOOR_GRID = 512  # cells of the grid the i.i.d. floor draws its angles from
+MODE_BLOCK = 1 << 15  # angles per block of _mode_stats; 512 KiB of complex phasors
 
 
 def _mode_stats(snapshots: np.ndarray, kmax: int):
-    # per-replica statistics a_r(k) and b_r(k) for k = 0..kmax
+    # per-replica statistics a_r(k) and b_r(k) for k = 0..kmax. Rows of
+    # (replica, checkpoint) go through the recurrence z^k = z^(k-1) * z in
+    # blocks of about MODE_BLOCK angles, updated in place, so the phasors stay
+    # in cache and no array of the full ensemble's size is allocated per mode.
     R, T, N = snapshots.shape
-    z = np.exp(-1j * snapshots)
-    powers = np.ones_like(z)
-    a = np.empty((R, T, kmax + 1), dtype=complex)
-    b = np.empty((R, T, kmax + 1))
-    a[..., 0] = 1.0
-    b[..., 0] = 1.0
-    for k in range(1, kmax + 1):
-        powers = powers * z
-        S = powers.sum(axis=-1)
-        a[..., k] = S / N
-        b[..., k] = (np.abs(S) ** 2 - N) / (N * (N - 1))
-    return a, b
+    rows = snapshots.reshape(R * T, N)
+    S = np.empty((kmax, R * T), dtype=complex)  # S[k-1] = sum_n z^k per row
+    step = max(1, MODE_BLOCK // N)
+    for r0 in range(0, R * T, step):
+        powers = np.multiply(rows[r0:r0 + step], -1j)
+        np.exp(powers, out=powers)
+        z = powers.copy()
+        for k in range(kmax):
+            if k:
+                np.multiply(powers, z, out=powers)
+            powers.sum(axis=-1, out=S[k, r0:r0 + step])
+    a = np.empty((R * T, kmax + 1), dtype=complex)
+    b = np.empty((R * T, kmax + 1))
+    a[:, 0] = 1.0
+    b[:, 0] = 1.0
+    a[:, 1:] = (S / N).T
+    b[:, 1:] = ((np.abs(S) ** 2 - N) / (N * (N - 1))).T
+    return a.reshape(R, T, kmax + 1), b.reshape(R, T, kmax + 1)
 
 
 @dataclass(eq=False)
@@ -141,7 +151,8 @@ def iid_chaos_samples(f: FourierDensity, n_particles: int, n_replicas: int, kmax
     angles from f, one checkpoint per replica, and evaluates the chaos
     distance against f itself with the same estimator as ``chaos_distance``.
     The angles are drawn from f tabulated on FLOOR_GRID cells (more if f has
-    more modes).
+    more modes); the grid's sampling table is built on the first draw and
+    shared by the rest.
     """
     grid = density_from_coeffs(f, max(FLOOR_GRID, 2 * f.K + 2))
     ref = _reference_pair_power(f, kmax)[1:]

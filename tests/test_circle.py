@@ -5,6 +5,7 @@ from scipy import stats
 from scipy.special import ive
 
 from pairjump.circle import (
+    GUIDE_SLOTS_PER_CELL,
     TWO_PI,
     FourierDensity,
     GridDensity,
@@ -16,6 +17,9 @@ from pairjump.circle import (
     density_from_coeffs,
     fourier_coeffs,
     heat_kernel_spec,
+    _cell_table,
+    _guide_cells,
+    _sample_cells,
     sample_grid_density,
     wrap_angle,
 )
@@ -363,3 +367,95 @@ class TestSampling:
         x = g.sample(rng, 100)
         w = TWO_PI / 64
         assert np.all((x < w / 2) | (x > TWO_PI - w / 2))  # cell 0 straddles 0
+
+
+class FixedUniforms:
+    """Stands in for a Generator whose ``random(size)`` returns chosen values."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, size):
+        return self.u.reshape(size)
+
+
+def searchsorted_cells(values, u):
+    """Inverse-CDF cells and angles by binary search, written out for reference."""
+    M = values.size
+    cum = np.cumsum(values * (TWO_PI / M))
+    cum[-1] = 1.0
+    idx = np.searchsorted(cum, u, side="right")
+    lo = np.concatenate(([0.0], cum))[idx]
+    frac = (u - lo) / (values[idx] * (TWO_PI / M))
+    return idx, (idx - 0.5 + frac) * (TWO_PI / M) % TWO_PI
+
+
+def edge_uniforms(cum):
+    """0, every cumulative mass below 1, its neighbours, every slot edge j/G, 1-."""
+    G = GUIDE_SLOTS_PER_CELL * cum.size
+    inner = cum[cum < 1.0]
+    u = np.concatenate(([0.0], inner, np.nextafter(inner, 0.0), np.nextafter(inner, 1.0),
+                        np.arange(G) / G, np.nextafter(np.arange(1, G) / G, 0.0),
+                        [np.nextafter(1.0, 0.0)]))
+    return u[u < 1.0]
+
+
+def assert_matches_searchsorted(values, u):
+    """The guide table's cells and the sampler's angles equal binary search's."""
+    cum, start = _cell_table(values)
+    want_idx, want_theta = searchsorted_cells(values, u)
+    assert np.array_equal(_guide_cells(cum, start, u), want_idx)
+    theta = _sample_cells(values, cum, start, FixedUniforms(u), u.shape)
+    assert theta.tobytes() == want_theta.tobytes()
+
+
+def wrapped_normal_table(sigma2, M):
+    return TabulatedNoise(WrappedNormalNoise(sigma2).tabulate(M).values)
+
+
+class TestGuideTable:
+    @pytest.mark.parametrize("noise", [
+        wrapped_normal_table(0.5, 64),
+        wrapped_normal_table(0.01, 512),
+        TabulatedNoise(np.r_[64 / TWO_PI, np.zeros(63)]),
+        TabulatedNoise(np.bincount([1, 63, 5, 5, 59, 59, 20, 44], minlength=64).astype(float)),
+        TabulatedNoise(np.ones(2)),
+    ], ids=["wn05-64", "wn001-512", "point-mass", "zero-mass-cells", "M2"])
+    def test_edges_match_searchsorted(self, noise):
+        cum, _ = _cell_table(noise.values)
+        assert_matches_searchsorted(noise.values, edge_uniforms(cum))
+
+    def test_peaked_noise_steps_across_shared_slots(self):
+        # wrapped normal 0.01 on 512 cells: the tail cells are so light that
+        # dozens share one slot, so many lookups take several steps
+        noise = wrapped_normal_table(0.01, 512)
+        cum, start = _cell_table(noise.values)
+        u = np.random.default_rng(4).random(200_000)
+        want, _ = searchsorted_cells(noise.values, u)
+        steps = want - start[(u * start.size).astype(np.intp)]
+        assert steps.min() >= 0 and steps.max() >= 10
+        assert_matches_searchsorted(noise.values, u)
+        # TabulatedNoise.sample uses the table it built at construction
+        assert np.array_equal(noise._start, start)
+        x = noise.sample(np.random.default_rng(4), 200_000)
+        assert x.tobytes() == searchsorted_cells(noise.values, u)[1].tobytes()
+
+    def test_floor_shape_matches_searchsorted(self):
+        d = GridDensity.from_unnormalized(np.exp(np.cos(np.arange(512) * (TWO_PI / 512))))
+        u = np.random.default_rng(23).random((400, 1, 800))
+        assert_matches_searchsorted(d.values, u)
+        x = sample_grid_density(d, np.random.default_rng(23), (400, 1, 800))
+        assert x.shape == (400, 1, 800)
+        assert x.tobytes() == searchsorted_cells(d.values, u)[1].tobytes()
+        # the density keeps the table its first draw built
+        table = d._sampling_table
+        sample_grid_density(d, np.random.default_rng(1), 5)
+        assert d._sampling_table is table
+
+    def test_point_mass_draws_stay_in_cell_zero(self):
+        noise = TabulatedNoise(np.r_[64 / TWO_PI, np.zeros(63)])
+        u = np.array([0.0, 0.25, 0.5, 0.75, np.nextafter(1.0, 0.0)])
+        x = _sample_cells(noise.values, noise._cum, noise._start, FixedUniforms(u), 5)
+        w = TWO_PI / 64
+        assert np.all((x < w / 2) | (x >= TWO_PI - w / 2))
+        assert np.all((x >= 0.0) & (x < TWO_PI))

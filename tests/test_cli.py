@@ -296,6 +296,22 @@ class TestVerify:
             blobs.append((out / "verify.json").read_bytes())
         assert blobs[0] == blobs[1]
 
+    def test_run_sidecar_holds_timings_kept_out_of_report(self, tmp_path):
+        cfg = write_config(tmp_path, "ver.json", {"scenarios": ["A3", "A2"]})
+        out = tmp_path / "out"
+        assert main(["verify", "--config", str(cfg), "--out", str(out),
+                     "--threads", "1"]) == 0
+        run = json.loads((out / "run.json").read_text())
+        assert set(run) == {"pairjump", "config_sha256", "command", "scenarios"}
+        assert run["pairjump"] == __version__
+        assert run["config_sha256"] == hashlib.sha256(cfg.read_bytes()).hexdigest()
+        assert run["command"] == "verify"
+        assert [s["scenario"] for s in run["scenarios"]] == ["A3", "A2"]
+        for s in run["scenarios"]:
+            assert set(s) == {"scenario", "elapsed_s"}
+            assert isinstance(s["elapsed_s"], float) and s["elapsed_s"] >= 0.0
+        assert "elapsed" not in (out / "verify.json").read_text()
+
     def test_rejects_unknown_scenario(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "ver.json", {"scenarios": ["A9"]})
         assert main(["verify", "--config", str(cfg),

@@ -6,8 +6,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pairjump.circle import FourierDensity, UniformNoise, WrappedNormalNoise
+from pairjump.circle import (
+    TWO_PI,
+    FourierDensity,
+    UniformNoise,
+    WrappedNormalNoise,
+    density_from_coeffs,
+)
 from pairjump.diagnostics import (
+    FLOOR_GRID,
     SUMMARY_COLUMNS,
     chaos_distance,
     compare_flow,
@@ -54,6 +61,32 @@ def pair_stat_loops(snapshots, kmax):
     return out
 
 
+def searchsorted_floor(f, n_particles, n_replicas, kmax, n_boot, rng):
+    """The i.i.d. floor written out with a binary-search sampler and one new
+    array per mode, the plain form of ``iid_chaos_samples``."""
+    grid = density_from_coeffs(f, max(FLOOR_GRID, 2 * f.K + 2))
+    N, w = n_particles, TWO_PI / grid.M
+    cum = np.cumsum(grid.masses)
+    cum[-1] = 1.0
+    ref = (np.abs(f.coeffs[f.K:f.K + kmax + 1]) ** 2)[1:]
+    out = np.empty(n_boot)
+    for bi in range(n_boot):
+        u = rng.random((n_replicas, 1, n_particles))
+        idx = np.searchsorted(cum, u, side="right")
+        lo = np.concatenate(([0.0], cum))[idx]
+        theta = (idx - 0.5 + (u - lo) / (grid.values[idx] * w)) * w % TWO_PI
+        z = np.exp(-1j * theta)
+        powers = np.ones_like(z)
+        b = np.empty((n_replicas, 1, kmax + 1))
+        b[..., 0] = 1.0
+        for k in range(1, kmax + 1):
+            powers = powers * z
+            S = powers.sum(axis=-1)
+            b[..., k] = (np.abs(S) ** 2 - N) / (N * (N - 1))
+        out[bi] = float(2.0 * np.sum((b[:, 0, 1:].mean(axis=0) - ref) ** 2))
+    return out
+
+
 def wn_reference(var, kmax):
     k = np.arange(-kmax, kmax + 1)
     return FourierDensity(np.exp(-k**2 * var / 2).astype(complex))
@@ -87,6 +120,25 @@ class TestSummarize:
         assert_allclose(s.pair, pair_stat_loops(snaps, 3), rtol=0, atol=1e-12)
         direct_f1 = np.exp(-1j * snaps[..., None] * np.arange(4)).mean(axis=(0, 2))
         assert_allclose(s.f1, direct_f1, rtol=0, atol=1e-12)
+
+    def test_blocked_recurrence_equals_plain_loop(self):
+        # 20 replicas x 2 checkpoints of 2000 angles run in three blocks
+        res = iid_result(WrappedNormalNoise(0.7), 2000, 20, 8, times=(0.0, 1.0))
+        s = summarize(res, kmax=6)
+        z = np.exp(-1j * res.snapshots)
+        powers = np.ones_like(z)
+        N = 2000
+        a = np.empty((20, 2, 7), dtype=complex)
+        b = np.empty((20, 2, 7))
+        a[..., 0] = b[..., 0] = 1.0
+        for k in range(1, 7):
+            powers = powers * z
+            S = powers.sum(axis=-1)
+            a[..., k] = S / N
+            b[..., k] = (np.abs(S) ** 2 - N) / (N * (N - 1))
+        assert s.pair_reps.tobytes() == b.tobytes()
+        assert s.f1.tobytes() == a.mean(axis=0).tobytes()
+        assert s.pair.tobytes() == b.mean(axis=0).tobytes()
 
     def test_mode_zero_and_bounds(self):
         s = summarize(iid_result(WrappedNormalNoise(1.0), 20, 30, 909), kmax=8)
@@ -217,6 +269,14 @@ class TestSampleDraws:
         b = iid_chaos_samples(f, 30, 20, 4, 25, np.random.default_rng(7))
         assert np.array_equal(a, b)
         assert np.all(a >= 0.0)
+
+    @pytest.mark.parametrize("n_particles,n_replicas,kmax", [(30, 20, 4), (800, 41, 16)])
+    def test_iid_chaos_samples_equal_plain_floor(self, n_particles, n_replicas, kmax):
+        # 41 replicas of 800 angles span two blocks of the mode recurrence
+        f = wn_reference(1.0, 16)
+        got = iid_chaos_samples(f, n_particles, n_replicas, kmax, 4, np.random.default_rng(5))
+        want = searchsorted_floor(f, n_particles, n_replicas, kmax, 4, np.random.default_rng(5))
+        assert got.tobytes() == want.tobytes()
 
     def test_resample_of_aligned_ensemble_is_constant(self):
         s = summarize(aligned_result(), kmax=3)
