@@ -63,9 +63,13 @@ def midpoint_demo():
               f"{z:>7.2f}")
 
 
-if __name__ == "__main__":
+def main():
     leader_demo()
     midpoint_demo()
     print()
     print("All |z| of order one: the ensembles track the kinetic solutions")
     print("within pure sampling noise.")
+
+
+if __name__ == "__main__":
+    main()

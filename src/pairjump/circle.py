@@ -322,7 +322,7 @@ def _cell_table(values):
     searchsorted(cum, j/G, "right").
     """
     cum = np.cumsum(values * (TWO_PI / values.size))
-    cum[-1] = 1.0
+    cum[np.flatnonzero(values)[-1]:] = 1.0  # no u < 1 picks a trailing empty cell
     G = GUIDE_SLOTS_PER_CELL * values.size
     return cum, np.searchsorted(cum, np.arange(G) / G, side="right")
 

@@ -179,16 +179,14 @@ def resample_chaos_samples(summary: EnsembleSummary, f: FourierDensity, n_boot: 
     return out
 
 
-SUMMARY_COLUMNS = ("t", "k", "re_f1", "im_f1", "se_f1", "re_C", "im_C", "se_C", "z_kinetic")
+SUMMARY_COLUMNS = ("t", "k", "re_f1", "im_f1", "se_f1", "re_C", "se_C")
 
 
-def summary_rows(summary: EnsembleSummary, z: Optional[np.ndarray] = None):
-    """Rows for the summary CSV; z_kinetic is |z| when provided, else nan."""
+def summary_rows(summary: EnsembleSummary):
+    """Rows for the summary CSV, one per (checkpoint, mode); C is real."""
     for ti, t in enumerate(summary.times):
         for k in range(summary.kmax + 1):
-            zk = float("nan") if z is None else float(np.abs(z[ti, k]))
             yield (float(t), k,
                    float(summary.f1[ti, k].real), float(summary.f1[ti, k].imag),
                    float(summary.f1_se[ti, k]),
-                   float(summary.pair[ti, k]), 0.0, float(summary.pair_se[ti, k]),
-                   zk)
+                   float(summary.pair[ti, k]), float(summary.pair_se[ti, k]))

@@ -3,9 +3,12 @@
 The circle is replaced by the M-point cyclic grid, which turns a model into
 a finite Markov chain on M^N states whose one-jump transition matrix can be
 assembled exactly (noise tabulated to cell masses, midpoints via the shared
-bisector table). Everything downstream — stationary laws, marginals, the
-generator N*(Q* - I) — is then plain sparse linear algebra, independent of
-the event-driven simulator, which is what makes this a trustworthy oracle
+bisector table). A jump moves one of the N(N-1)/2 pairs, picked uniformly as
+in Kac's model, by one two-particle kernel K (``_pair_kernel``), so P is
+(2/(N(N-1))) * sum over i < j of K acting on coordinates (i, j) and the
+identity on the others. Everything downstream — stationary laws, marginals,
+the generator N*(Q* - I) — is then plain sparse linear algebra, independent
+of the event-driven simulator, which is what makes this a trustworthy oracle
 for small N and M.
 
 States are flattened with coordinate c contributing digit (x // M**c) % M,
@@ -14,6 +17,7 @@ i.e. mixed-radix little-endian order.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -33,9 +37,9 @@ __all__ = [
     "pair_difference_profile",
 ]
 
-# Cap on the COO entries build_transition emits: M^N states times N(N-1)
-# times M (cl) or M^2 (bdg). Assembly holds about 48 bytes per entry (the
-# per-block lists, then their concatenation), so the cap is about 1.6 GB.
+# Cap on the entries build_transition emits: M^N states times N(N-1)/2 pairs
+# times 2M (cl) or M^2 (bdg). Assembly holds about 20 bytes per entry (int64
+# columns, values, the CSR's int32 copy; bdg N=5, M=8), so about 0.7 GB.
 ENTRY_CAP = 2 ** 25
 
 
@@ -89,6 +93,26 @@ class JointDensity:
         return cls(n_particles, m.size, out)
 
 
+def _pair_kernel(model: ModelSpec, M: int):
+    """Two-particle kernel: cells (a, b) jump to (C, D)[a, b, t] with probability
+    W[a, b, t], arrays (M, M, T). cl (T = 2M): a fair coin picks the leader and
+    the follower lands on leader + z, z ~ g. bdg (T = M^2): both land on the
+    midpoint, deposited as in ``kinetic``, plus independent noise.
+    """
+    g = model.noise.tabulate(M).masses
+    if model.kind == "cl":
+        a, b, z = np.broadcast_arrays(*np.ix_(range(M), range(M), range(M)))
+        C = np.concatenate([a, (b + z) % M], axis=2)
+        D = np.concatenate([(a + z) % M, b], axis=2)
+        return C, D, np.broadcast_to(np.concatenate([g, g]) / 2, C.shape)
+    lo, hi, w_hi = bisector_tables(M)
+    G = g[(np.arange(M)[None, :] - np.arange(M)[:, None]) % M]  # G[m, c] = g[c - m]
+    W = sum(q[:, :, None, None] * G[mid][:, :, :, None] * G[mid][:, :, None, :]
+            for mid, q in ((lo, 1.0 - w_hi), (hi, w_hi)))
+    # target t = c*M + d; C and D are broadcast views of shape (M, M, M^2)
+    return tuple(np.broadcast_arrays(*np.divmod(np.arange(M * M), M), W.reshape(M, M, M * M)))
+
+
 def build_transition(model: ModelSpec, n_particles: int, grid_size: int) -> TransitionMatrix:
     """Assemble the exact one-jump transition matrix.
 
@@ -108,52 +132,28 @@ def build_transition(model: ModelSpec, n_particles: int, grid_size: int) -> Tran
     if N < 2:
         raise ValueError("n_particles must be >= 2")
     n_states = M ** N
-    n_entries = n_states * N * (N - 1) * (M if model.kind == "cl" else M * M)
+    pairs = list(itertools.combinations(range(N), 2))
+    T = 2 * M if model.kind == "cl" else M * M
+    n_entries = n_states * len(pairs) * T
     if n_entries > ENTRY_CAP:
         raise ValueError(f"state space M^N = {n_states} needs {n_entries} matrix "
                          f"entries, over the cap of {ENTRY_CAP}")
 
-    gm = model.noise.tabulate(M).masses
+    C, D, W = _pair_kernel(model, M)
     x = np.arange(n_states, dtype=np.int64)
-    stride = [M ** c for c in range(N)]
-    digit = [(x // stride[c]) % M for c in range(N)]
-
-    rows, cols, vals = [], [], []
-    if model.kind == "cl":
-        w_pair = 1.0 / (N * (N - 1))  # unordered pair times the fair coin
-        for follower in range(N):
-            base = x - digit[follower] * stride[follower]
-            for leader in range(N):
-                if leader == follower:
-                    continue
-                for z in range(M):
-                    target = (digit[leader] + z) % M
-                    rows.append(x)
-                    cols.append(base + target * stride[follower])
-                    vals.append(np.full(n_states, w_pair * gm[z]))
-    else:
-        w_pair = 2.0 / (N * (N - 1))
-        lo, hi, w_hi = bisector_tables(M)
-        for i in range(N):
-            for j in range(i + 1, N):
-                base = x - digit[i] * stride[i] - digit[j] * stride[j]
-                di, dj = digit[i], digit[j]
-                # boundary midpoints split over two cells, matching kinetic
-                for mid, q in ((lo[di, dj], 1.0 - w_hi[di, dj]),
-                               (hi[di, dj], w_hi[di, dj])):
-                    if not np.any(q):
-                        continue
-                    for wi in range(M):
-                        ci = ((mid + wi) % M) * stride[i]
-                        for wj in range(M):
-                            rows.append(x)
-                            cols.append(base + ci + ((mid + wj) % M) * stride[j])
-                            vals.append(w_pair * gm[wi] * gm[wj] * q)
-
-    P = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n_states, n_states),
-    ).tocsr()
+    stride = M ** np.arange(N, dtype=np.int64)
+    digit = (x[:, None] // stride) % M
+    # every row holds T entries per pair, so the CSR rows have equal width
+    cols = np.empty((n_states, len(pairs), T), dtype=np.int64)
+    vals = np.empty((n_states, len(pairs), T))
+    for p, (i, j) in enumerate(pairs):
+        di, dj = digit[:, i], digit[:, j]
+        base = x - di * stride[i] - dj * stride[j]
+        cols[:, p] = base[:, None] + C[di, dj] * stride[i] + D[di, dj] * stride[j]
+        vals[:, p] = 2.0 / (N * (N - 1)) * W[di, dj]
+    indptr = np.arange(0, n_entries + 1, len(pairs) * T)
+    P = sp.csr_matrix((vals.ravel(), cols.ravel(), indptr), shape=(n_states, n_states))
+    P.sum_duplicates()
     return TransitionMatrix(n_particles=N, grid_size=M, P=P)
 
 

@@ -383,7 +383,7 @@ def searchsorted_cells(values, u):
     """Inverse-CDF cells and angles by binary search, written out for reference."""
     M = values.size
     cum = np.cumsum(values * (TWO_PI / M))
-    cum[-1] = 1.0
+    cum[np.flatnonzero(values)[-1]:] = 1.0
     idx = np.searchsorted(cum, u, side="right")
     lo = np.concatenate(([0.0], cum))[idx]
     frac = (u - lo) / (values[idx] * (TWO_PI / M))
@@ -459,3 +459,15 @@ class TestGuideTable:
         w = TWO_PI / 64
         assert np.all((x < w / 2) | (x >= TWO_PI - w / 2))
         assert np.all((x >= 0.0) & (x < TWO_PI))
+
+    def test_empty_last_cell_is_never_drawn(self):
+        # the first 63 cumulative masses sum to 0.9999999999999982, so with
+        # only the last entry of cum set to 1 these uniforms chose the empty
+        # cell 63 and divided by its zero width
+        d = GridDensity.from_unnormalized(np.r_[np.ones(63), 0.0])
+        cum = np.cumsum(d.values * (TWO_PI / 64))
+        u = np.array([cum[-2], np.nextafter(1.0, 0.0)])
+        assert u[0] < 1.0
+        x = sample_grid_density(d, FixedUniforms(u), 2)
+        # both sit at the top of cell 62, the last cell with mass
+        assert_allclose(x, 62.5 * (TWO_PI / 64), rtol=0, atol=1e-12)

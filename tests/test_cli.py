@@ -40,7 +40,7 @@ class TestSimulate:
         assert first_line(out / "summary.csv") == \
             f"# pairjump={__version__} config_sha256={digest}"
         lines = (out / "summary.csv").read_text().splitlines()
-        assert lines[1] == "t,k,re_f1,im_f1,se_f1,re_C,im_C,se_C,z_kinetic"
+        assert lines[1] == "t,k,re_f1,im_f1,se_f1,re_C,se_C"
         assert len(lines) == 2 + 17  # one row per mode k = 0..16
 
         snaps = (out / "snapshots.jsonl").read_text().splitlines()
@@ -75,7 +75,7 @@ class TestSimulate:
                      "--threads", "1"]) == 0
         lines = (out / "summary.csv").read_text().splitlines()
         assert lines[0].startswith("# pairjump=")
-        assert lines[1:] == ["t,k,re_f1,im_f1,se_f1,re_C,im_C,se_C,z_kinetic"]
+        assert lines[1:] == ["t,k,re_f1,im_f1,se_f1,re_C,se_C"]
         states = [json.loads(s)["state"] for s in
                   (out / "snapshots.jsonl").read_text().splitlines()[1:]]
         assert len(states) == 3

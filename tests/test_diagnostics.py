@@ -291,16 +291,9 @@ class TestSummaryRows:
                                  times=(0.0, 0.5)), kmax=3)
         rows = list(summary_rows(s))
         assert SUMMARY_COLUMNS == ("t", "k", "re_f1", "im_f1", "se_f1",
-                                   "re_C", "im_C", "se_C", "z_kinetic")
+                                   "re_C", "se_C")
         assert len(rows) == 2 * 4
         assert all(len(r) == len(SUMMARY_COLUMNS) for r in rows)
         assert [r[0] for r in rows] == [0.0] * 4 + [0.5] * 4
         assert [r[1] for r in rows] == [0, 1, 2, 3] * 2
-        assert all(r[6] == 0.0 for r in rows)  # pair statistic is real
-        assert all(math.isnan(r[8]) for r in rows)
-
-    def test_rows_carry_z_magnitudes(self):
-        s = summarize(iid_result(WrappedNormalNoise(0.4), 10, 5, 32), kmax=2)
-        z = np.array([[0.0, -1.5, 2.0]])
-        rows = list(summary_rows(s, z))
-        assert [r[8] for r in rows] == [0.0, 1.5, 2.0]
+        assert [r[5] for r in rows] == [float(c) for c in s.pair.ravel()]

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -7,6 +9,7 @@ from pairjump.kinetic import bisector_tables
 from pairjump.models import ModelSpec
 from pairjump.oracle import (
     JointDensity,
+    _pair_kernel,
     apply_generator,
     build_transition,
     marginal,
@@ -55,6 +58,20 @@ def direct_bdg_matrix(M, g_mass):
     return P
 
 
+def lifted_pair_sum(K, N, M):
+    """Dense (2/(N(N-1))) * sum over i < j of the N=2 kernel K acting on
+    coordinates (i, j) and the identity on the others, in state order."""
+    K4 = K.reshape((M,) * 4, order="F")  # K4[x_i, x_j, y_i, y_j]
+    xs, ys = "abcdef"[:N], "ABCDEF"[:N]
+    T = np.zeros((M,) * (2 * N))
+    for i, j in itertools.combinations(range(N), 2):
+        terms = [xs[i] + xs[j] + ys[i] + ys[j]]
+        terms += [xs[k] + ys[k] for k in range(N) if k not in (i, j)]
+        ops = [K4] + [np.eye(M)] * (N - 2)
+        T += np.einsum(",".join(terms) + "->" + xs + ys, *ops)
+    return 2.0 / (N * (N - 1)) * T.reshape(M ** N, M ** N, order="F")
+
+
 class TestBuildTransition:
     def test_cl_rows_stochastic(self):
         tm = build_transition(ModelSpec("cl", tabulated_wn(0.5, 8)), 2, 8)
@@ -81,6 +98,23 @@ class TestBuildTransition:
         tm = build_transition(ModelSpec("bdg", g), 2, M)
         want = direct_bdg_matrix(M, noise_masses(g, M))
         assert_allclose(tm.P.toarray(), want, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("kind", ["cl", "bdg"])
+    @pytest.mark.parametrize("N, M", [(3, 8), (4, 4)])
+    def test_matches_lifted_pair_sum(self, kind, N, M):
+        g = tabulated_wn(0.5, M)
+        direct = direct_cl_matrix if kind == "cl" else direct_bdg_matrix
+        want = lifted_pair_sum(direct(M, noise_masses(g, M)), N, M)
+        tm = build_transition(ModelSpec(kind, g), N, M)
+        assert_allclose(tm.P.toarray(), want, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("kind", ["cl", "bdg"])
+    def test_pair_kernel_rows_sum_to_one(self, kind):
+        M = 16
+        C, D, W = _pair_kernel(ModelSpec(kind, tabulated_wn(0.5, M)), M)
+        assert C.shape == D.shape == W.shape
+        assert C.min() >= 0 and max(C.max(), D.max()) < M and D.min() >= 0
+        assert_allclose(W.sum(axis=2), 1.0, rtol=0, atol=1e-15)
 
     def test_preserves_symmetry(self):
         M, N = 16, 3
@@ -112,8 +146,8 @@ class TestBuildTransition:
 
     def test_entry_cap_refuses_bdg_before_assembly(self):
         # 16^4 = 65536 states is a small state space, but bdg would emit
-        # 16^4 * 12 * 16^2 = 2.0e8 entries (about 10 GB to assemble)
-        with pytest.raises(ValueError, match="201326592"):
+        # 16^4 * 6 pairs * 16^2 = 1.0e8 entries (about 2 GB to assemble)
+        with pytest.raises(ValueError, match="100663296"):
             build_transition(ModelSpec("bdg", UniformNoise()), 4, 16)
 
     def test_kac_rejected(self):
