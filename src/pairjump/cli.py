@@ -5,10 +5,14 @@ JSON config, writes its artifacts into --out, and is a pure function of
 (config, seed): rerunning a command with the same inputs reproduces every
 output byte for byte. CSV files start with a comment line carrying the
 package version and the SHA-256 of the config file; floats are written with
-17 significant digits. The JSON report of `verify` carries the same fields
-inline, since a comment line would break JSON parsers. `verify` also writes a
-`run.json` sidecar with each scenario's wall time, which varies between runs
-and is kept out of `verify.json`.
+17 significant digits. `simulate` writes `snapshots.jsonl`, compact JSON
+lines (orjson) whose floats are printed in shortest round-trip form, so every
+state parses back to the exact double; a state that is not finite has no
+JSON form, and `simulate` refuses it (exit 1) rather than write `null`. The
+JSON report of `verify` carries the version and hash inline, since a comment
+line would break JSON parsers. `simulate` and `verify` also write a
+`run.json` sidecar with wall times (per stage, per scenario) that vary
+between runs and are kept out of the reproducible artifacts.
 """
 
 from __future__ import annotations
@@ -18,9 +22,11 @@ import hashlib
 import json
 import os
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from . import __version__
 from .circle import (
@@ -63,7 +69,8 @@ def _get(cfg, path, types, required=True, default=None, check=None, expect=""):
     if not isinstance(node, types):
         raise ConfigError(f"config field '{path}': expected {expect or types}, got {node!r}")
     if check is not None and not check(node):
-        raise ConfigError(f"config field '{path}': invalid value {node!r}")
+        raise ConfigError(f"config field '{path}': expected {expect or 'a valid value'}, "
+                          f"got {node!r}")
     return node
 
 
@@ -130,6 +137,18 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
+def _write_run_json(path: Path, fields: dict, stages: dict) -> None:
+    """A run.json sidecar: `fields`, then `stages` (wall seconds per stage).
+
+    Each stage time is printed as %.6e, a fixed width, so the file's size does
+    not vary with the timings and the bytes a run writes repeat exactly for a
+    given config.
+    """
+    lines = [f"  {json.dumps(key)}: {json.dumps(value)}," for key, value in sorted(fields.items())]
+    times = ",\n".join(f"    {json.dumps(key)}: {value:.6e}" for key, value in stages.items())
+    path.write_text("{\n" + "\n".join(lines) + '\n  "stages": {\n' + times + "\n  }\n}\n")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -154,23 +173,40 @@ def cmd_simulate(cfg, out: Path, config_hash: str, workers: int) -> int:
                           "(states start uniform on the energy sphere)")
     model = ModelSpec(kind, noise)
 
+    t0 = time.perf_counter()
     result = simulate_ensemble(model, n, t_end, cps, replicas, seed,
                                initial=initial, workers=workers)
+    t1 = time.perf_counter()
+    if not np.isfinite(result.snapshots).all():
+        print("error: the simulation produced non-finite states, which JSON cannot "
+              "hold; snapshots.jsonl not written", file=sys.stderr)
+        return 1
 
-    with open(out / "snapshots.jsonl", "w") as fh:
-        fh.write(json.dumps({"header": {"pairjump": __version__,
-                                        "config_sha256": config_hash}}) + "\n")
+    line = orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE
+    with open(out / "snapshots.jsonl", "wb") as fh:
+        fh.write(orjson.dumps({"header": {"pairjump": __version__,
+                                          "config_sha256": config_hash}}, option=line))
         for r in range(result.n_replicas):
             for ti, t in enumerate(result.times):
-                fh.write(json.dumps({"replica": r, "t": float(t),
-                                     "state": result.snapshots[r, ti].tolist()}) + "\n")
+                fh.write(orjson.dumps({"replica": r, "t": float(t),
+                                       "state": result.snapshots[r, ti]}, option=line))
+    t2 = time.perf_counter()
 
     # mode statistics need angles and at least two replicas; kac states are
     # velocities, so its summary is the header alone
     rows = []
     if replicas >= 2 and kind != "kac":
         rows = summary_rows(summarize(result, kmax=kmax))
+    t3 = time.perf_counter()
     _write_csv(out / "summary.csv", config_hash, SUMMARY_COLUMNS, rows)
+    t4 = time.perf_counter()
+    _write_run_json(out / "run.json", {
+        "pairjump": __version__,
+        "config_sha256": config_hash,
+        "command": "simulate",
+        "events": int(result.n_events.sum()),
+    }, {"simulate_s": t1 - t0, "write_snapshots_s": t2 - t1,
+        "summarize_s": t3 - t2, "write_summary_s": t4 - t3})
     return 0
 
 
@@ -242,7 +278,8 @@ def cmd_oracle(cfg, out: Path, config_hash: str, workers: int) -> int:
                 expect="one of 'cl', 'bdg'")
     n = _get(cfg, "n_particles", int, check=lambda v: v >= 2,
              expect="an integer >= 2")
-    m = _get(cfg, "M", int, check=lambda v: v >= 2, expect="an integer >= 2")
+    m = _get(cfg, "M", int, check=lambda v: v >= 2 and v & (v - 1) == 0,
+             expect="a power of two >= 2")
     noise = _noise_from(cfg, "noise")
     tol = float(_get(cfg, "tol", (int, float), required=False, default=1e-12,
                      check=lambda v: v > 0, expect="a positive tolerance"))

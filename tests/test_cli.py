@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from pairjump import __version__
-from pairjump.circle import WrappedNormalNoise
+from pairjump.circle import UniformNoise, WrappedNormalNoise
 from pairjump.cli import main
-from pairjump.models import ModelSpec, simulate_ensemble
+from pairjump.models import EnsembleResult, ModelSpec, simulate_ensemble
 
 
 def write_config(tmp_path, name, payload):
@@ -66,6 +66,78 @@ class TestSimulate:
             [(r, t) for r in range(3) for t in (0.0, 0.5, 1.0)]
         got = np.array([r["state"] for r in records]).reshape(want.snapshots.shape)
         assert np.array_equal(got, want.snapshots)
+
+    def test_kac_snapshots_round_trip_exactly(self, tmp_path):
+        # kac states are velocities on the sphere |v|^2 = N, not angles in [0, 2 pi)
+        cfg = write_config(tmp_path, "sim.json",
+                           simulate_config(model="kac", n_particles=3, replicas=4,
+                                           checkpoints=[0.5, 1.0]))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out),
+                     "--threads", "1"]) == 0
+        want = simulate_ensemble(ModelSpec("kac", UniformNoise()), 3, 1.0, [0.5, 1.0], 4, 1)
+        assert want.snapshots.min() < 0.0
+        records = [json.loads(s) for s in
+                   (out / "snapshots.jsonl").read_text().splitlines()[1:]]
+        got = np.array([r["state"] for r in records]).reshape(want.snapshots.shape)
+        assert np.array_equal(got, want.snapshots)
+
+    def test_snapshot_lines_are_compact_json(self, tmp_path, monkeypatch):
+        state = [0.5, -0.0, 1e-5, 2.5e-7, 1e16, -6.283185307179586]
+        monkeypatch.setattr("pairjump.cli.simulate_ensemble", lambda *a, **k: EnsembleResult(
+            times=np.array([0.0, 0.5]), snapshots=np.array([[state, state[::-1]]]),
+            n_events=np.array([3])))
+        cfg = write_config(tmp_path, "sim.json",
+                           simulate_config(n_particles=6, replicas=1, t_end=0.5,
+                                           checkpoints=[0.0, 0.5]))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out),
+                     "--threads", "1"]) == 0
+        digest = hashlib.sha256(cfg.read_bytes()).hexdigest()
+        blob = (out / "snapshots.jsonl").read_bytes()
+        assert blob == (
+            b'{"header":{"pairjump":"%s","config_sha256":"%s"}}\n'
+            b'{"replica":0,"t":0.0,"state":[0.5,-0.0,0.00001,2.5e-7,1e16,-6.283185307179586]}\n'
+            b'{"replica":0,"t":0.5,"state":[-6.283185307179586,1e16,2.5e-7,0.00001,-0.0,0.5]}\n'
+            % (__version__.encode(), digest.encode()))
+        records = [json.loads(s) for s in blob.decode().splitlines()]
+        assert [r["state"] for r in records[1:]] == [state, state[::-1]]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_refuses_non_finite_state(self, tmp_path, monkeypatch, capsys, bad):
+        def poisoned(*args, **kwargs):
+            result = simulate_ensemble(*args, **kwargs)
+            result.snapshots[1, 0, 3] = bad
+            return result
+
+        monkeypatch.setattr("pairjump.cli.simulate_ensemble", poisoned)
+        cfg = write_config(tmp_path, "sim.json", simulate_config())
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out),
+                     "--threads", "1"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (out / "snapshots.jsonl").exists()
+
+    def test_run_sidecar_counts_events_and_stages(self, tmp_path):
+        cfg = write_config(tmp_path, "sim.json", simulate_config(replicas=3))
+        sizes = []
+        for sub in ("a", "out"):
+            out = tmp_path / sub
+            assert main(["simulate", "--config", str(cfg), "--out", str(out),
+                         "--threads", "1"]) == 0
+            sizes.append((out / "run.json").stat().st_size)
+        assert sizes[0] == sizes[1]  # fixed-width times: the size repeats
+        run = json.loads((out / "run.json").read_text())
+        assert set(run) == {"pairjump", "config_sha256", "command", "events", "stages"}
+        assert run["pairjump"] == __version__
+        assert run["config_sha256"] == hashlib.sha256(cfg.read_bytes()).hexdigest()
+        assert run["command"] == "simulate"
+        want = simulate_ensemble(ModelSpec("cl", UniformNoise()), 10, 1.0, [1.0], 3, 1)
+        assert run["events"] == int(want.n_events.sum()) > 0
+        assert set(run["stages"]) == {"simulate_s", "write_snapshots_s",
+                                      "summarize_s", "write_summary_s"}
+        for seconds in run["stages"].values():
+            assert isinstance(seconds, float) and seconds >= 0.0
 
     def test_kac_summary_is_header_only(self, tmp_path):
         cfg = write_config(tmp_path, "sim.json",
@@ -254,6 +326,20 @@ class TestOracle:
         assert main(["oracle", "--config", str(cfg),
                      "--out", str(tmp_path / "o"), "--threads", "1"]) != 0
         assert "1048576" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field,value", [("M", 6), ("M", 1)])
+    def test_rejects_bad_sizes_naming_field(self, tmp_path, capsys, monkeypatch,
+                                            field, value):
+        def refuse(*args):
+            raise AssertionError("transition matrix built before validation")
+
+        monkeypatch.setattr("pairjump.cli.build_transition", refuse)
+        cfg = write_config(tmp_path, "orc.json", {
+            "model": "cl", "n_particles": 2, "noise": {"kind": "uniform"}, field: value})
+        assert main(["oracle", "--config", str(cfg),
+                     "--out", str(tmp_path / "o"), "--threads", "1"]) == 2
+        err = capsys.readouterr().err
+        assert f"config field '{field}'" in err and "power of two" in err
 
     @pytest.mark.parametrize("coords", [[0, 5], [1, 1]], ids=["out-of-range", "repeated"])
     def test_rejects_bad_marginals_before_building(self, tmp_path, capsys, monkeypatch,
