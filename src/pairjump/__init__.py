@@ -15,7 +15,6 @@ from .circle import (
     UniformNoise,
     VonMisesNoise,
     WrappedNormalNoise,
-    circular_convolve,
     density_from_coeffs,
     fourier_coeffs,
     heat_kernel_spec,
@@ -27,7 +26,6 @@ from .diagnostics import (
     chaos_distance,
     compare_flow,
     iid_chaos_samples,
-    resample_chaos_samples,
     summarize,
 )
 from .invariant import (
@@ -48,7 +46,6 @@ from .kinetic import (
 from .models import (
     EnsembleResult,
     EventLog,
-    JumpEvent,
     ModelSpec,
     SimulationResult,
     bdg_pair_update,

@@ -31,7 +31,6 @@ __all__ = [
     "sample_grid_density",
     "fourier_coeffs",
     "density_from_coeffs",
-    "circular_convolve",
     "heat_kernel_spec",
 ]
 
@@ -41,10 +40,6 @@ TWO_PI = 2.0 * np.pi
 def wrap_angle(theta):
     """Wrap angles into [0, 2*pi). Works on scalars and arrays."""
     return np.mod(theta, TWO_PI)
-
-
-def _is_power_of_two(m: int) -> bool:
-    return m >= 1 and (m & (m - 1)) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -66,7 +61,7 @@ class GridDensity:
         v = np.array(self.values, dtype=float)
         if v.ndim != 1 or v.size < 2:
             raise ValueError("grid density needs a 1-d array of at least 2 values")
-        if not _is_power_of_two(v.size):
+        if v.size & (v.size - 1):
             raise ValueError(f"grid size M={v.size} must be a power of two")
         if v.min() < 0.0:
             raise ValueError(f"grid density has negative values (min {v.min():.3e})")
@@ -90,10 +85,6 @@ class GridDensity:
     @property
     def theta(self) -> np.ndarray:
         return np.arange(self.M) * (TWO_PI / self.M)
-
-    @property
-    def cell_width(self) -> float:
-        return TWO_PI / self.M
 
     @property
     def masses(self) -> np.ndarray:
@@ -415,13 +406,6 @@ def density_from_coeffs(f: FourierDensity, M: int) -> GridDensity:
         )
     vals = np.clip(vals, 0.0, None)
     return GridDensity.from_unnormalized(vals)
-
-
-def circular_convolve(a: FourierDensity, b: FourierDensity) -> FourierDensity:
-    """Convolution of densities on the circle: coefficient-wise product."""
-    if a.K != b.K:
-        raise ValueError(f"cutoff mismatch: {a.K} != {b.K}")
-    return FourierDensity(a.coeffs * b.coeffs)
 
 
 def heat_kernel_spec(t: float) -> WrappedNormalNoise:

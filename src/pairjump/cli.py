@@ -10,9 +10,9 @@ lines (orjson) whose floats are printed in shortest round-trip form, so every
 state parses back to the exact double; a state that is not finite has no
 JSON form, and `simulate` refuses it (exit 1) rather than write `null`. The
 JSON report of `verify` carries the version and hash inline, since a comment
-line would break JSON parsers. `simulate` and `verify` also write a
-`run.json` sidecar with wall times (per stage, per scenario) that vary
-between runs and are kept out of the reproducible artifacts.
+line would break JSON parsers. `simulate`, `kinetic`, `oracle` and `verify`
+also write a `run.json` sidecar with wall times (per stage, per scenario)
+that vary between runs and are kept out of the reproducible artifacts.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ import orjson
 
 from . import __version__
 from .circle import (
-    TWO_PI,
     FourierDensity,
     TabulatedNoise,
     UniformNoise,
@@ -44,7 +43,7 @@ from .invariant import (
     limit_profile,
     pair_correlation_closed,
 )
-from .kinetic import RATE_FACTOR, KineticConfig, bdg_evolve_checkpoints, cl_evolve
+from .kinetic import RATE_FACTOR, KineticConfig, bdg_evolve, cl_evolve
 from .models import ModelSpec, simulate_ensemble
 from .oracle import build_transition, marginal, stationary
 from .verify import MASTER_SEED, SCENARIOS, report_dict, run_scenario
@@ -113,6 +112,15 @@ def _checkpoints_from(cfg, t_end):
     return arr
 
 
+def _check_modes(kmax, *laws):
+    """Refuse K beyond what a tabulated law resolves: its ``fourier`` reads
+    the DFT of M cells modulo M, so modes past M/2 - 1 would be aliases."""
+    for law in laws:
+        if isinstance(law, TabulatedNoise) and kmax > law.M // 2 - 1:
+            raise ConfigError(f"config field 'K': a tabulated law of {law.M} cells "
+                              f"resolves modes up to {law.M // 2 - 1}, got {kmax}")
+
+
 def _fmt(value) -> str:
     if isinstance(value, str):
         return value
@@ -137,16 +145,19 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _write_run_json(path: Path, fields: dict, stages: dict) -> None:
-    """A run.json sidecar: `fields`, then `stages` (wall seconds per stage).
+def _write_run_json(out: Path, config_hash: str, command: str, stages: dict, **fields) -> None:
+    """The run.json sidecar of a command: the version, config hash, command
+    and `fields`, then `stages` (wall seconds per stage).
 
     Each stage time is printed as %.6e, a fixed width, so the file's size does
     not vary with the timings and the bytes a run writes repeat exactly for a
     given config.
     """
+    fields.update(pairjump=__version__, config_sha256=config_hash, command=command)
     lines = [f"  {json.dumps(key)}: {json.dumps(value)}," for key, value in sorted(fields.items())]
     times = ",\n".join(f"    {json.dumps(key)}: {value:.6e}" for key, value in stages.items())
-    path.write_text("{\n" + "\n".join(lines) + '\n  "stages": {\n' + times + "\n  }\n}\n")
+    body = "\n".join(lines) + '\n  "stages": {\n' + times
+    (out / "run.json").write_text("{\n" + body + "\n  }\n}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +174,7 @@ def cmd_simulate(cfg, out: Path, config_hash: str, workers: int) -> int:
                        expect="a nonnegative time"))
     replicas = _get(cfg, "replicas", int, check=lambda v: v >= 1,
                     expect="an integer >= 1")
-    seed = _get(cfg, "seed", int, expect="an integer seed")
+    seed = _get(cfg, "seed", int, check=lambda v: v >= 0, expect="a nonnegative integer seed")
     kmax = _get(cfg, "K", int, required=False, default=16,
                 check=lambda v: v >= 1, expect="an integer >= 1")
     cps = _checkpoints_from(cfg, t_end)
@@ -200,13 +211,10 @@ def cmd_simulate(cfg, out: Path, config_hash: str, workers: int) -> int:
     t3 = time.perf_counter()
     _write_csv(out / "summary.csv", config_hash, SUMMARY_COLUMNS, rows)
     t4 = time.perf_counter()
-    _write_run_json(out / "run.json", {
-        "pairjump": __version__,
-        "config_sha256": config_hash,
-        "command": "simulate",
-        "events": int(result.n_events.sum()),
-    }, {"simulate_s": t1 - t0, "write_snapshots_s": t2 - t1,
-        "summarize_s": t3 - t2, "write_summary_s": t4 - t3})
+    _write_run_json(out, config_hash, "simulate", {
+        "simulate_s": t1 - t0, "write_snapshots_s": t2 - t1,
+        "summarize_s": t3 - t2, "write_summary_s": t4 - t3,
+    }, events=int(result.n_events.sum()))
     return 0
 
 
@@ -225,28 +233,34 @@ def cmd_kinetic(cfg, out: Path, config_hash: str, workers: int) -> int:
     if "rate_factor" in cfg:
         raise ConfigError("config field 'rate_factor': not a setting; the kinetic "
                           f"time scale is fixed (RATE_FACTOR = {RATE_FACTOR:g})")
+    dt = float(_get(cfg, "dt", (int, float), required=False, default=0.02))
     try:
-        kcfg = KineticConfig(
-            dt=float(_get(cfg, "dt", (int, float), required=False, default=0.02)))
+        kcfg = KineticConfig(dt=dt)
     except ValueError as exc:
         raise ConfigError(f"config: {exc}") from exc
 
+    t0 = time.perf_counter()
     rows = []
     if kind == "cl":
+        _check_modes(kmax, noise, initial)
+        columns = ("t", "k", "fhat")
         k = np.arange(-kmax, kmax + 1)
         f0 = FourierDensity(np.asarray(initial.fourier(k), dtype=complex))
         for t in cps:
             sol = cl_evolve(f0, noise, t)
             for ki in range(kmax + 1):
                 rows.append((t, ki, sol.coeff(ki).real))
-        _write_csv(out / "kinetic.csv", config_hash, ("t", "k", "fhat"), rows)
     else:
-        f0 = initial.tabulate(M)
-        theta = np.arange(M) * (TWO_PI / M)
-        for t, sol in zip(cps, bdg_evolve_checkpoints(f0, noise, cps, kcfg)):
-            for m in range(M):
-                rows.append((t, theta[m], sol.values[m]))
-        _write_csv(out / "kinetic.csv", config_hash, ("t", "theta", "f"), rows)
+        # checkpoints are nondecreasing, so each row continues the previous one
+        columns = ("t", "theta", "f")
+        sol, t_prev = initial.tabulate(M), 0.0
+        for t in cps:
+            sol, t_prev = bdg_evolve(sol, noise, t - t_prev, kcfg), t
+            rows.extend((t, theta, f) for theta, f in zip(sol.theta, sol.values))
+    t1 = time.perf_counter()
+    _write_csv(out / "kinetic.csv", config_hash, columns, rows)
+    t2 = time.perf_counter()
+    _write_run_json(out, config_hash, "kinetic", {"solve_s": t1 - t0, "write_s": t2 - t1})
     return 0
 
 
@@ -262,6 +276,7 @@ def cmd_invariant(cfg, out: Path, config_hash: str, workers: int) -> int:
         family = heat_kernel_family
     else:
         noise = _noise_from(cfg, "noise")
+        _check_modes(kmax, noise)
         family = lambda _n: noise  # noqa: E731 - fixed noise for every N
 
     closed = pair_correlation_closed(family(n), n, kmax)
@@ -293,11 +308,14 @@ def cmd_oracle(cfg, out: Path, config_hash: str, workers: int) -> int:
             raise ConfigError(f"config field 'marginals[{i}]': coordinates must be "
                               f"distinct and in 0..{n - 1}, got {coords!r}")
 
+    t0 = time.perf_counter()
     try:
         tm = build_transition(ModelSpec(kind, noise), n, m)
     except ValueError as exc:
         raise ConfigError(f"config: {exc}") from exc
+    t1 = time.perf_counter()
     dist = stationary(tm, tol=tol)
+    t2 = time.perf_counter()
 
     rows = []
     for coords in coords_list:
@@ -307,6 +325,12 @@ def cmd_oracle(cfg, out: Path, config_hash: str, workers: int) -> int:
             rows.append((label, "|".join(str(i) for i in idx), weights[idx]))
     _write_csv(out / "oracle.csv", config_hash,
                ("marginal", "cell", "weight"), rows)
+    t3 = time.perf_counter()
+    P = tm.P
+    _write_run_json(out, config_hash, "oracle",
+                    {"build_s": t1 - t0, "stationary_s": t2 - t1, "write_s": t3 - t2},
+                    states=tm.n_states, nnz=int(P.nnz),
+                    matrix_bytes=int(P.data.nbytes + P.indices.nbytes + P.indptr.nbytes))
     return 0
 
 
@@ -318,7 +342,7 @@ def cmd_verify(cfg, out: Path, config_hash: str, workers: int) -> int:
             raise ConfigError(f"config field 'scenarios[{i}]': unknown scenario {name!r}; "
                               f"expected one of {sorted(SCENARIOS)}")
     seed = _get(cfg, "seed", int, required=False, default=MASTER_SEED,
-                expect="an integer seed")
+                check=lambda v: v >= 0, expect="a nonnegative integer seed")
 
     reports = [run_scenario(name, seed, workers) for name in names]
     payload = {

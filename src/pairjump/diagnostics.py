@@ -30,7 +30,6 @@ __all__ = [
     "chaos_distance",
     "compare_flow",
     "iid_chaos_samples",
-    "resample_chaos_samples",
     "summary_rows",
     "SUMMARY_COLUMNS",
 ]
@@ -76,7 +75,6 @@ class EnsembleSummary:
     f1_se: np.ndarray        # (T, kmax+1)
     pair: np.ndarray         # (T, kmax+1) real pair statistic C(k)
     pair_se: np.ndarray
-    pair_reps: np.ndarray    # (R, T, kmax+1) per-replica b_r(k)
 
 
 def summarize(result: EnsembleResult, kmax: int = DEFAULT_KMAX) -> EnsembleSummary:
@@ -93,8 +91,7 @@ def summarize(result: EnsembleResult, kmax: int = DEFAULT_KMAX) -> EnsembleSumma
     pair = b.mean(axis=0)
     pair_se = np.sqrt(b.var(axis=0, ddof=1) / R)
     return EnsembleSummary(times=result.times, n_replicas=R, n_particles=N, kmax=kmax,
-                           f1=f1, f1_se=f1_se, pair=pair, pair_se=pair_se,
-                           pair_reps=b)
+                           f1=f1, f1_se=f1_se, pair=pair, pair_se=pair_se)
 
 
 def _reference_pair_power(f: FourierDensity, kmax: int) -> np.ndarray:
@@ -161,21 +158,6 @@ def iid_chaos_samples(f: FourierDensity, n_particles: int, n_replicas: int, kmax
         angles = sample_grid_density(grid, rng, (n_replicas, 1, n_particles))
         _, b = _mode_stats(angles, kmax)
         out[bi] = _distance(b[:, 0, 1:].mean(axis=0), ref)
-    return out
-
-
-def resample_chaos_samples(summary: EnsembleSummary, f: FourierDensity, n_boot: int,
-                           rng: np.random.Generator, kmax: Optional[int] = None,
-                           checkpoint: int = -1) -> np.ndarray:
-    """Bootstrap draws of D by resampling replicas with replacement."""
-    K = summary.kmax if kmax is None else kmax
-    ref = _reference_pair_power(f, K)[1:]
-    b = summary.pair_reps[:, checkpoint, 1:K + 1]
-    R = b.shape[0]
-    out = np.empty(n_boot)
-    for bi in range(n_boot):
-        pick = rng.integers(R, size=R)
-        out[bi] = _distance(b[pick].mean(axis=0), ref)
     return out
 
 

@@ -20,7 +20,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .circle import FourierDensity, GridDensity, NoiseSpec, density_from_coeffs, heat_kernel_spec
+from .circle import NoiseSpec, heat_kernel_spec
 
 __all__ = [
     "CorrelationProfile",
@@ -62,15 +62,6 @@ class CorrelationProfile:
             raise ValueError(f"mode index out of range |k| <= {self.K}")
         out = self.fhat[k]
         return float(out) if out.ndim == 0 else out
-
-    def to_fourier_density(self) -> FourierDensity:
-        if abs(self.fhat[0] - 1.0) > 1e-12:
-            raise ValueError("profile is not normalized; Fhat(0) != 1")
-        return FourierDensity(np.concatenate([self.fhat[:0:-1], self.fhat]).astype(complex))
-
-    def to_grid(self, M: int) -> GridDensity:
-        """Density of the pair difference on an M-point grid."""
-        return density_from_coeffs(self.to_fourier_density(), M)
 
 
 def pair_correlation_closed(g: NoiseSpec, n_particles: int, K: int) -> CorrelationProfile:

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
@@ -44,7 +43,6 @@ __all__ = [
     "bdg_midpoint_pushforward",
     "bdg_gain",
     "bdg_evolve",
-    "bdg_evolve_checkpoints",
 ]
 
 RATE_FACTOR = 2.0  # events per unit time that involve a tagged particle
@@ -173,19 +171,3 @@ def bdg_evolve(f0: GridDensity, g: NoiseSpec, t: float,
             p = np.clip(p, 0.0, None)
             p /= p.sum()
     return GridDensity.from_unnormalized(p * (f0.M / TWO_PI))
-
-
-def bdg_evolve_checkpoints(f0: GridDensity, g: NoiseSpec, times: Sequence[float],
-                           config: KineticConfig = KineticConfig()) -> list:
-    """Solutions at the given nondecreasing times, integrating segment-wise."""
-    times = np.asarray(times, dtype=float)
-    if times.size and (np.any(np.diff(times) < 0.0) or times[0] < 0.0):
-        raise ValueError("times must be nondecreasing and nonnegative")
-    out = []
-    current = GridDensity(f0.values)
-    t_prev = 0.0
-    for t in times:
-        current = bdg_evolve(current, g, t - t_prev, config)
-        out.append(current)
-        t_prev = t
-    return out

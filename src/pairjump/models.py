@@ -34,9 +34,9 @@ checkpoint row is the state after every event at or before the checkpoint.
 Both engines update with the same correctly rounded operations and ``%``,
 and take kac's cos/sin over a block's whole angle column, so replica r of an
 ensemble is, bit for bit, ``simulate`` on ``replica_rng(master_seed, r)``
-after its initial state. ``simulate`` keeps its event log as the block's
-columns (an ``EventLog``, read as JumpEvent entries), and ``replay`` applies
-a log through the same update table, reproducing the final state bit for
+after its initial state. ``simulate`` keeps its event log as the blocks'
+draw columns (an ``EventLog``), and ``replay`` applies a log through the
+same update table in the same blocks, reproducing the final state bit for
 bit.
 
 Contract v1, retired when ``simulate`` moved to v2, drew per event the
@@ -47,7 +47,6 @@ not the same trajectory.
 
 from __future__ import annotations
 
-from collections import abc
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -57,7 +56,6 @@ from .circle import TWO_PI, GridDensity, NoiseSpec, sample_grid_density, wrap_an
 
 __all__ = [
     "ModelSpec",
-    "JumpEvent",
     "EventLog",
     "SimulationResult",
     "EnsembleResult",
@@ -96,66 +94,24 @@ class ModelSpec:
             raise ValueError("noise must be a NoiseSpec")
 
 
-@dataclass(frozen=True)
-class JumpEvent:
-    """One jump: event time, the ordered pair (i < j), and the model draws.
+@dataclass(frozen=True, eq=False)
+class EventLog:
+    """A trajectory's event log: one column entry per event, 40 bytes each.
 
-    draws is (w_i, w_j) for bdg, (b, z) for cl with b = 1 meaning particle i
-    leads, and (theta,) for kac.
+    time holds the event times and (i, j) the pair, i < j. The draw columns
+    are, for cl, d1 the coin (1: particle i leads) and d2 the follower's
+    noise z; for bdg, d1 = w_i and d2 = w_j; for kac, d1 the rotation angle
+    and d2 None.
     """
 
-    time: float
-    i: int
-    j: int
-    draws: tuple
-
-
-class EventLog(abc.Sequence):
-    """A trajectory's event log: a read-only sequence of JumpEvent.
-
-    The events are held as columns (times, i, j, and the draw columns d1, d2,
-    with d2 None for kac), 40 bytes per event; a JumpEvent is built only when
-    an entry is read. A slice is an EventLog over views of the columns.
-    """
-
-    def __init__(self, time, i, j, d1, d2=None):
-        self.columns = (time, i, j, d1, d2)
-
-    @classmethod
-    def from_events(cls, kind: str, events) -> "EventLog":
-        """Columns of a sequence of JumpEvent of a model kind; an EventLog
-        is returned as it is."""
-        if isinstance(events, EventLog):
-            return events
-        draws = np.array([ev.draws for ev in events], dtype=float)
-        draws = draws.reshape(len(events), 1 if kind == "kac" else 2)
-        return cls(np.array([ev.time for ev in events], dtype=float),
-                   np.array([ev.i for ev in events], dtype=np.intp),
-                   np.array([ev.j for ev in events], dtype=np.intp),
-                   draws[:, 0], None if kind == "kac" else draws[:, 1])
+    time: np.ndarray
+    i: np.ndarray
+    j: np.ndarray
+    d1: np.ndarray
+    d2: Optional[np.ndarray] = None
 
     def __len__(self) -> int:
-        return len(self.columns[0])
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return EventLog(*(None if col is None else col[k] for col in self.columns))
-        time, i, j, d1, d2 = self.columns
-        draws = (d1[k].item(),) if d2 is None else (d1[k].item(), d2[k].item())
-        return JumpEvent(time[k].item(), int(i[k]), int(j[k]), draws)
-
-    def __iter__(self):
-        for e0 in range(0, len(self), EVENT_BLOCK):
-            time, i, j, d1, d2 = (None if col is None else col[e0:e0 + EVENT_BLOCK].tolist()
-                                  for col in self.columns)
-            yield from map(JumpEvent, time, i, j, zip(d1) if d2 is None else zip(d1, d2))
-
-    def __eq__(self, other):
-        if not isinstance(other, abc.Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
-    __hash__ = None
+        return len(self.time)
 
 
 @dataclass(eq=False)
@@ -306,9 +262,8 @@ def simulate(model: ModelSpec, initial, t_end: float, rng: np.random.Generator,
         Nondecreasing times in [0, t_end]; the state is recorded just before
         the first event past each checkpoint.
     record_events : bool
-        Keep the event log, an EventLog of JumpEvent entries, with at most
-        event_log_cap of them; the result is flagged truncated if the cap
-        is hit.
+        Keep the event log, an EventLog of at most event_log_cap events;
+        the result is flagged truncated if the cap is hit.
 
     Returns
     -------
@@ -367,24 +322,27 @@ def simulate(model: ModelSpec, initial, t_end: float, rng: np.random.Generator,
                             n_events=n_events, events=events, events_truncated=truncated)
 
 
-def replay(model: ModelSpec, initial, events: Sequence[JumpEvent]) -> np.ndarray:
+def replay(model: ModelSpec, initial, events: EventLog) -> np.ndarray:
     """Apply a recorded event log to an initial state; no randomness.
 
-    The log goes through the same update table as ``simulate``, so replaying
-    a trajectory's complete log reproduces its final state bit for bit.
+    The log goes through the same update table as ``simulate``, one
+    EVENT_BLOCK slice at a time, so replaying a trajectory's complete log
+    reproduces its final state bit for bit.
     """
     state = _check_initial(model, initial).tolist()
-    log = EventLog.from_events(model.kind, events)
-    for e0 in range(0, len(log), EVENT_BLOCK):
-        _, i, j, d1, d2 = log[e0:e0 + EVENT_BLOCK].columns
-        _apply_events(model.kind, state, _update_table(model.kind, i, j, d1, d2), 0, len(i))
+    for e0 in range(0, len(events), EVENT_BLOCK):
+        block = slice(e0, e0 + EVENT_BLOCK)
+        d2 = None if events.d2 is None else events.d2[block]
+        table = _update_table(model.kind, events.i[block], events.j[block],
+                              events.d1[block], d2)
+        _apply_events(model.kind, state, table, 0, EVENT_BLOCK)
     return np.array(state)
 
 
 def _draw_block(model: ModelSpec, offsets, n_pairs, rng):
     """The draws of one block of EVENT_BLOCK events that follow its waiting
-    times, in contract-v2 order: the pairs (i < j) and the two JumpEvent draw
-    columns (cl: coin, z; bdg: w_i, w_j; kac: theta, None)."""
+    times, in contract-v2 order: the pairs (i < j) and the EventLog draw
+    columns d1, d2."""
     B = EVENT_BLOCK
     m = rng.integers(n_pairs, size=B)
     i = np.searchsorted(offsets, m, side="right") - 1

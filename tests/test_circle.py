@@ -13,7 +13,6 @@ from pairjump.circle import (
     UniformNoise,
     VonMisesNoise,
     WrappedNormalNoise,
-    circular_convolve,
     density_from_coeffs,
     fourier_coeffs,
     heat_kernel_spec,
@@ -56,7 +55,7 @@ def chi_square_pvalue(samples, grid):
     """Bin samples into the grid cells and test against grid.masses,
     merging cells with expected count < 10 into the largest cell."""
     M = grid.M
-    cells = np.floor(samples / grid.cell_width + 0.5).astype(int) % M
+    cells = np.floor(samples / (TWO_PI / M) + 0.5).astype(int) % M
     counts = np.bincount(cells, minlength=M).astype(float)
     expected = grid.masses * samples.size
     small = expected < 10.0
@@ -93,7 +92,6 @@ class TestGridDensity:
     def test_uniform_masses(self):
         d = GridDensity(np.full(64, 1.0 / TWO_PI))
         assert_allclose(d.masses, 1.0 / 64, rtol=0, atol=1e-15)
-        assert d.cell_width == pytest.approx(TWO_PI / 64)
         assert_allclose(d.theta, np.arange(64) * TWO_PI / 64)
 
     def test_from_unnormalized(self):
@@ -260,44 +258,21 @@ class TestFourierGridRoundTrip:
 
 
 class TestConvolution:
+    # convolution on the circle is the coefficient-wise product of the
+    # Fourier coefficients; these check fourier_coeffs and density_from_coeffs
+    # against that theorem
     def test_matches_direct_cyclic_convolution(self):
         M = 256
         g = WrappedNormalNoise(0.2).tabulate(M)
         c = fourier_coeffs(g, 100)
-        conv = circular_convolve(c, c)
-        got = density_from_coeffs(conv, M).values
+        got = density_from_coeffs(FourierDensity(c.coeffs * c.coeffs), M).values
         want = direct_cyclic_convolution(g.values, g.values)
         assert_allclose(got, want, rtol=0, atol=1e-10)
 
     def test_wrapped_normal_variances_add(self):
         c1 = fourier_coeffs(WrappedNormalNoise(0.2).tabulate(256), 16)
-        conv = circular_convolve(c1, c1)
         k = np.arange(-16, 17)
-        assert_allclose(conv.coeffs, np.exp(-0.5 * k ** 2 * 0.4), rtol=0, atol=1e-9)
-
-    def test_commutative_exact(self):
-        rng = np.random.default_rng(5)
-        a = fourier_coeffs(GridDensity.from_unnormalized(rng.random(64) + 0.1), 20)
-        b = fourier_coeffs(GridDensity.from_unnormalized(rng.random(64) + 0.1), 20)
-        ab = circular_convolve(a, b)
-        ba = circular_convolve(b, a)
-        # vectorized complex multiply uses FMA, so the imaginary parts can
-        # differ in the last ulp; anything beyond that is a real bug
-        assert_allclose(ab.coeffs, ba.coeffs, rtol=0, atol=1e-16)
-
-    def test_associative(self):
-        rng = np.random.default_rng(6)
-        ds = [GridDensity.from_unnormalized(rng.random(64) + 0.1) for _ in range(3)]
-        a, b, c = (fourier_coeffs(d, 20) for d in ds)
-        left = circular_convolve(circular_convolve(a, b), c)
-        right = circular_convolve(a, circular_convolve(b, c))
-        assert_allclose(left.coeffs, right.coeffs, rtol=0, atol=1e-15)
-
-    def test_mode_count_mismatch(self):
-        a = FourierDensity(np.array([0.5, 1.0, 0.5]))
-        b = FourierDensity(np.exp(-np.arange(-2, 3).astype(float) ** 2))
-        with pytest.raises(ValueError):
-            circular_convolve(a, b)
+        assert_allclose(c1.coeffs * c1.coeffs, np.exp(-0.5 * k ** 2 * 0.4), rtol=0, atol=1e-9)
 
 
 class TestSampling:

@@ -10,7 +10,9 @@ import pytest
 from pairjump import __version__
 from pairjump.circle import UniformNoise, WrappedNormalNoise
 from pairjump.cli import main
+from pairjump.kinetic import KineticConfig, bdg_evolve
 from pairjump.models import EnsembleResult, ModelSpec, simulate_ensemble
+from pairjump.oracle import build_transition
 
 
 def write_config(tmp_path, name, payload):
@@ -28,6 +30,39 @@ def simulate_config(**overrides):
 
 def first_line(path):
     return path.read_text().splitlines()[0]
+
+
+def csv_rows(path):
+    """Data rows of an output CSV, split into fields."""
+    return [ln.split(",") for ln in path.read_text().splitlines()[2:]]
+
+
+def run_twice(tmp_path, command, cfg):
+    """Run a command into two directories; returns them."""
+    outs = [tmp_path / sub for sub in ("a", "b")]
+    for out in outs:
+        assert main([command, "--config", str(cfg), "--out", str(out), "--threads", "1"]) == 0
+    return outs
+
+
+def check_run_sidecar(outs, cfg, command, fields, stages):
+    """run.json holds the common fields, `fields` and `stages`, and its size
+    repeats across reruns (fixed-width times)."""
+    sizes = [(out / "run.json").stat().st_size for out in outs]
+    assert sizes[0] == sizes[1]
+    run = json.loads((outs[1] / "run.json").read_text())
+    assert set(run) == {"pairjump", "config_sha256", "command", "stages"} | set(fields)
+    assert run["pairjump"] == __version__
+    assert run["config_sha256"] == hashlib.sha256(cfg.read_bytes()).hexdigest()
+    assert run["command"] == command
+    assert {key: run[key] for key in fields} == fields
+    assert set(run["stages"]) == set(stages)
+    for seconds in run["stages"].values():
+        assert isinstance(seconds, float) and seconds >= 0.0
+
+
+# an 8-cell table resolves modes |k| <= 3; beyond that its DFT aliases
+TABLE8 = {"kind": "tabulated", "values": WrappedNormalNoise(0.5).tabulate(8).values.tolist()}
 
 
 class TestSimulate:
@@ -189,6 +224,12 @@ class TestSimulate:
         assert rc != 0
         assert "noise.kind" in capsys.readouterr().err
 
+    def test_rejects_negative_seed(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "sim.json", simulate_config(seed=-1))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                     "--threads", "1"]) == 2
+        assert "config field 'seed'" in capsys.readouterr().err
+
     def test_rejects_kac_initial_density(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "sim.json",
                            simulate_config(model="kac",
@@ -249,6 +290,66 @@ class TestKinetic:
         assert vals.size == 64
         assert vals.sum() * (2 * np.pi / 64) == pytest.approx(1.0, abs=1e-12)
 
+    def test_checkpoints_chain(self, tmp_path):
+        # each checkpoint continues from the previous one; the per-call
+        # renormalization makes the chain agree with a single run only to
+        # rounding
+        cfg = write_config(tmp_path, "kin.json", {
+            "model": "bdg", "noise": {"kind": "wrapped_normal", "param": 0.2},
+            "initial": {"kind": "wrapped_normal", "param": 0.3},
+            "t_end": 1.0, "checkpoints": [0, 0.5, 1], "M": 128})
+        out = tmp_path / "out"
+        assert main(["kinetic", "--config", str(cfg), "--out", str(out),
+                     "--threads", "1"]) == 0
+        rows = np.array(csv_rows(out / "kinetic.csv"), dtype=float).reshape(3, 128, 3)
+        f0 = WrappedNormalNoise(0.3).tabulate(128)
+        assert np.array_equal(rows[:, :, 0], [[0.0] * 128, [0.5] * 128, [1.0] * 128])
+        assert np.array_equal(rows[0, :, 1], f0.theta)
+        assert np.array_equal(rows[0, :, 2], f0.values)
+        direct = bdg_evolve(f0, WrappedNormalNoise(0.2), 1.0, KineticConfig(dt=0.02))
+        np.testing.assert_allclose(rows[2, :, 2], direct.values, rtol=0, atol=1e-12)
+
+    def test_run_sidecar(self, tmp_path):
+        cfg = write_config(tmp_path, "kin.json", {
+            "model": "bdg", "noise": {"kind": "wrapped_normal", "param": 0.2},
+            "initial": {"kind": "wrapped_normal", "param": 0.5},
+            "t_end": 0.2, "checkpoints": [0.0, 0.2], "M": 64})
+        outs = run_twice(tmp_path, "kinetic", cfg)
+        check_run_sidecar(outs, cfg, "kinetic", {}, {"solve_s", "write_s"})
+        assert (outs[0] / "kinetic.csv").read_bytes() == (outs[1] / "kinetic.csv").read_bytes()
+
+    def test_dt_type_error_has_one_prefix(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "kin.json", {
+            "model": "bdg", "noise": {"kind": "uniform"},
+            "initial": {"kind": "uniform"}, "t_end": 0.1, "dt": True})
+        assert main(["kinetic", "--config", str(cfg),
+                     "--out", str(tmp_path / "o"), "--threads", "1"]) == 2
+        assert capsys.readouterr().err.startswith("error: config field 'dt'")
+
+    @pytest.mark.parametrize("field", ["noise", "initial"])
+    def test_refuses_modes_a_table_aliases(self, tmp_path, capsys, field):
+        payload = {"model": "cl", "noise": {"kind": "uniform"},
+                   "initial": {"kind": "wrapped_normal", "param": 0.5}, "t_end": 1.0}
+        payload[field] = TABLE8
+        cfg = write_config(tmp_path, "kin.json", dict(payload, K=4))
+        out = tmp_path / "o"
+        assert main(["kinetic", "--config", str(cfg), "--out", str(out),
+                     "--threads", "1"]) == 2
+        assert "config field 'K'" in capsys.readouterr().err
+        assert not (out / "kinetic.csv").exists()
+        cfg = write_config(tmp_path, "kin.json", dict(payload, K=3))
+        assert main(["kinetic", "--config", str(cfg), "--out", str(out),
+                     "--threads", "1"]) == 0
+        assert len(csv_rows(out / "kinetic.csv")) == 4
+
+    def test_bdg_table_ignores_mode_count(self, tmp_path):
+        # the grid solver writes densities, not modes, so K does not apply
+        cfg = write_config(tmp_path, "kin.json", {
+            "model": "bdg", "noise": {"kind": "uniform"}, "initial": TABLE8,
+            "t_end": 0.1, "M": 16, "K": 64})
+        assert main(["kinetic", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                     "--threads", "1"]) == 0
+
     def test_rejects_bad_dt(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "kin.json", {
             "model": "bdg", "noise": {"kind": "uniform"},
@@ -292,6 +393,19 @@ class TestInvariant:
         assert main(["invariant", "--config", str(cfg),
                      "--out", str(tmp_path / "o"), "--threads", "1"]) == 0
 
+    def test_refuses_modes_a_table_aliases(self, tmp_path, capsys):
+        payload = {"noise": TABLE8, "n_particles": 10}
+        cfg = write_config(tmp_path, "inv.json", dict(payload, K=4))
+        out = tmp_path / "o"
+        assert main(["invariant", "--config", str(cfg), "--out", str(out),
+                     "--threads", "1"]) == 2
+        assert "config field 'K'" in capsys.readouterr().err
+        assert not (out / "invariant.csv").exists()
+        cfg = write_config(tmp_path, "inv.json", dict(payload, K=3))
+        assert main(["invariant", "--config", str(cfg), "--out", str(out),
+                     "--threads", "1"]) == 0
+        assert len(csv_rows(out / "invariant.csv")) == 4
+
     def test_rejects_small_n(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "inv.json",
                            {"family": "heat_kernel", "n_particles": 2})
@@ -318,6 +432,18 @@ class TestOracle:
         pair = [float(r[2]) for r in rows if r[0] == "0|1"]
         assert len(pair) == 64
         assert sum(pair) == pytest.approx(1.0, abs=1e-12)
+
+    def test_run_sidecar(self, tmp_path):
+        cfg = write_config(tmp_path, "orc.json", {
+            "model": "bdg", "n_particles": 2, "M": 8,
+            "noise": {"kind": "wrapped_normal", "param": 0.5}})
+        outs = run_twice(tmp_path, "oracle", cfg)
+        P = build_transition(ModelSpec("bdg", WrappedNormalNoise(0.5)), 2, 8).P
+        check_run_sidecar(outs, cfg, "oracle", {
+            "states": 64, "nnz": P.nnz,
+            "matrix_bytes": P.data.nbytes + P.indices.nbytes + P.indptr.nbytes,
+        }, {"build_s", "stationary_s", "write_s"})
+        assert (outs[0] / "oracle.csv").read_bytes() == (outs[1] / "oracle.csv").read_bytes()
 
     def test_refuses_state_space_beyond_cap(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "orc.json", {
@@ -397,6 +523,16 @@ class TestVerify:
             assert set(s) == {"scenario", "elapsed_s"}
             assert isinstance(s["elapsed_s"], float) and s["elapsed_s"] >= 0.0
         assert "elapsed" not in (out / "verify.json").read_text()
+
+    def test_rejects_negative_seed(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("scenario run before validation")
+
+        monkeypatch.setattr("pairjump.cli.run_scenario", refuse)
+        cfg = write_config(tmp_path, "ver.json", {"scenarios": ["A5"], "seed": -5})
+        assert main(["verify", "--config", str(cfg),
+                     "--out", str(tmp_path / "o"), "--threads", "1"]) == 2
+        assert "config field 'seed'" in capsys.readouterr().err
 
     def test_rejects_unknown_scenario(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "ver.json", {"scenarios": ["A9"]})

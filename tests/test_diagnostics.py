@@ -18,8 +18,8 @@ from pairjump.diagnostics import (
     SUMMARY_COLUMNS,
     chaos_distance,
     compare_flow,
+    _mode_stats,
     iid_chaos_samples,
-    resample_chaos_samples,
     summarize,
     summary_rows,
 )
@@ -136,9 +136,9 @@ class TestSummarize:
             S = powers.sum(axis=-1)
             a[..., k] = S / N
             b[..., k] = (np.abs(S) ** 2 - N) / (N * (N - 1))
-        assert s.pair_reps.tobytes() == b.tobytes()
         assert s.f1.tobytes() == a.mean(axis=0).tobytes()
         assert s.pair.tobytes() == b.mean(axis=0).tobytes()
+        assert s.pair_se.tobytes() == np.sqrt(b.var(axis=0, ddof=1) / 20).tobytes()
 
     def test_mode_zero_and_bounds(self):
         s = summarize(iid_result(WrappedNormalNoise(1.0), 20, 30, 909), kmax=8)
@@ -200,8 +200,12 @@ class TestChaosDistance:
         d = chaos_distance(s, uniform_reference(4))
         prof = pair_correlation_closed(g, 4, 4)
         pred = 2.0 * np.sum(prof.fhat[1:] ** 2)
-        boot = resample_chaos_samples(s, uniform_reference(4), 2000,
-                                      np.random.default_rng(55505))
+        # bootstrap draws of D, resampling replicas with replacement
+        _, b = _mode_stats(ens.snapshots, 4)
+        b = b[:, -1, 1:]
+        rng = np.random.default_rng(55505)
+        boot = [2.0 * np.sum(b[rng.integers(200, size=200)].mean(axis=0) ** 2)
+                for _ in range(2000)]
         lo, hi = np.quantile(boot, [0.005, 0.995])
         assert lo < pred < hi
         assert d == pytest.approx(pred, rel=0.25)
@@ -277,12 +281,6 @@ class TestSampleDraws:
         got = iid_chaos_samples(f, n_particles, n_replicas, kmax, 4, np.random.default_rng(5))
         want = searchsorted_floor(f, n_particles, n_replicas, kmax, 4, np.random.default_rng(5))
         assert got.tobytes() == want.tobytes()
-
-    def test_resample_of_aligned_ensemble_is_constant(self):
-        s = summarize(aligned_result(), kmax=3)
-        boot = resample_chaos_samples(s, uniform_reference(3), 50,
-                                      np.random.default_rng(9))
-        assert_allclose(boot, 6.0, rtol=1e-12)
 
 
 class TestSummaryRows:

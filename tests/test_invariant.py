@@ -240,23 +240,10 @@ class TestCorrelationProfile:
         with pytest.raises(ValueError, match="out of range"):
             prof.coeff(9)
 
-    def test_to_grid_matches_direct_fourier_sum(self):
-        k = np.arange(33)
-        prof = limit_profile(-k.astype(float) ** 2)
-        grid = prof.to_grid(256)
-        theta = np.arange(256) * (TWO_PI / 256)
-        fhat = 1.0 / (1.0 + k**2)
-        direct = fhat[0] / TWO_PI + np.cos(np.outer(theta, k[1:])) @ fhat[1:] / np.pi
-        assert_allclose(grid.values, direct, rtol=0, atol=1e-12)
-        assert np.all(grid.values >= 0.0)
-        assert grid.masses.sum() == pytest.approx(1.0, abs=1e-12)
-
-    def test_to_fourier_density_requires_normalization(self):
+    def test_one_term_series_is_half_normalized(self):
         # a 1-term series is far from normalized: Fhat(0) = r/(N-2) = 1/2
         prof, _ = pair_correlation_series(point_noise(), 3, 4, L=1)
         assert prof.coeff(0) == pytest.approx(0.5, rel=1e-14)
-        with pytest.raises(ValueError, match="normalized"):
-            prof.to_fourier_density()
 
     def test_rejects_too_short(self):
         with pytest.raises(ValueError):

@@ -15,7 +15,6 @@ from pairjump.kinetic import (
     RATE_FACTOR,
     KineticConfig,
     bdg_evolve,
-    bdg_evolve_checkpoints,
     bdg_gain,
     bdg_midpoint_pushforward,
     bisector_tables,
@@ -316,16 +315,6 @@ class TestBdgEvolve:
         a = bdg_evolve(rotated, g, 1.0, cfg)
         b = np.roll(bdg_evolve(f0, g, 1.0, cfg).values, s)
         assert_allclose(a.values, b, rtol=0, atol=1e-10)
-
-    def test_checkpoints_chain(self):
-        f0 = WrappedNormalNoise(0.3).tabulate(128)
-        g = WrappedNormalNoise(0.2)
-        outs = bdg_evolve_checkpoints(f0, g, [0.0, 0.5, 1.0], self.CFG)
-        assert np.array_equal(outs[0].values, f0.values)
-        direct = bdg_evolve(f0, g, 1.0, self.CFG)
-        # the per-call renormalization makes chained segments agree with the
-        # single run only to rounding
-        assert_allclose(outs[2].values, direct.values, rtol=0, atol=1e-12)
 
     def test_negative_time_rejected(self):
         f0 = WrappedNormalNoise(0.3).tabulate(64)

@@ -13,7 +13,6 @@ from pairjump.circle import (
 from pairjump.models import (
     EVENT_BLOCK,
     EventLog,
-    JumpEvent,
     ModelSpec,
     bdg_pair_update,
     cl_pair_update,
@@ -187,10 +186,7 @@ class TestSimulate:
         rng = replica_rng(55, 0)
         res = simulate(model, rng.random(n) * TWO_PI, t_end, rng,
                        record_events=True)
-        part = np.zeros(n)
-        for ev in res.events:
-            part[ev.i] += 1
-            part[ev.j] += 1
+        part = np.bincount(res.events.i, minlength=n) + np.bincount(res.events.j, minlength=n)
         rate = part.mean() / t_end
         assert rate == pytest.approx(2.0, rel=0.05)
 
@@ -199,7 +195,7 @@ class TestSimulate:
         rng = replica_rng(9, 0)
         res = simulate(model, rng.random(20) * TWO_PI, 5.0, rng,
                        record_events=True)
-        times = np.array([ev.time for ev in res.events])
+        times = res.events.time
         assert np.all(np.diff(times) > 0)
         assert times[0] > 0 and times[-1] <= 5.0
 
@@ -248,18 +244,21 @@ class TestSimulate:
         assert np.array_equal(replay(model, init.copy(), res.events),
                               res.final_state)
 
-    def test_event_log_is_a_sequence_of_jump_events(self):
-        model = ModelSpec("bdg", WrappedNormalNoise(0.3))
-        rng = replica_rng(31, 0)
-        res = simulate(model, rng.random(15) * TWO_PI, 4.0, rng, record_events=True)
-        listed = list(res.events)
-        assert len(listed) == len(res.events) == res.n_events
-        assert all(isinstance(ev, JumpEvent) for ev in listed)
-        assert [res.events[k] for k in range(len(listed))] == listed
-        assert res.events[-1] == listed[-1]
-        assert res.events[5:9] == listed[5:9]
-        assert EventLog.from_events("bdg", listed) == res.events
-        assert res.events != listed[:-1]
+    def test_event_log_columns(self):
+        # one entry per event in every column across three blocks, pairs
+        # ordered i < j; kac has a single draw column
+        for kind in ("cl", "bdg", "kac"):
+            model = ModelSpec(kind, WrappedNormalNoise(0.3))
+            rng = replica_rng(31, 0)
+            init = sample_kac_state(15, rng) if kind == "kac" else rng.random(15) * TWO_PI
+            res = simulate(model, init, 150.0, rng, record_events=True)
+            log = res.events
+            assert len(log) == res.n_events > 2 * EVENT_BLOCK
+            draws = (log.d1,) if kind == "kac" else (log.d1, log.d2)
+            for col in (log.time, log.i, log.j, *draws):
+                assert col.shape == (res.n_events,)
+            assert (log.d2 is None) == (kind == "kac")
+            assert np.all((0 <= log.i) & (log.i < log.j) & (log.j < 15))
 
     def test_rejects_bad_checkpoints(self):
         model = ModelSpec("cl", UniformNoise())
@@ -274,28 +273,24 @@ class TestSimulate:
         model = ModelSpec("cl", UniformNoise())
         rng = replica_rng(6, 0)
         res = simulate(model, np.array([0.0, 1.0]), 5.0, rng, record_events=True)
-        assert all((ev.i, ev.j) == (0, 1) for ev in res.events)
+        assert len(res.events) == res.n_events > 0
+        assert np.all(res.events.i == 0) and np.all(res.events.j == 1)
 
 
-def permuted_events(events, sigma, kind):
+def permuted_events(log, sigma, kind):
     """Relabel an event log by the particle permutation sigma, adjusting the
-    recorded draws when the ordered pair flips."""
-    out = []
-    for ev in events:
-        a, b = sigma[ev.i], sigma[ev.j]
-        if a < b:
-            out.append(JumpEvent(ev.time, int(a), int(b), ev.draws))
-            continue
-        if kind == "cl":
-            coin, z = ev.draws
-            draws = (1 - coin, z)
-        elif kind == "bdg":
-            wi, wj = ev.draws
-            draws = (wj, wi)
-        else:
-            draws = (-ev.draws[0],)
-        out.append(JumpEvent(ev.time, int(b), int(a), draws))
-    return out
+    recorded draws where the ordered pair flips."""
+    a, b = sigma[log.i], sigma[log.j]
+    flip = a > b
+    d1 = log.d1.copy()
+    d2 = None if log.d2 is None else log.d2.copy()
+    if kind == "cl":
+        d1[flip] = 1 - d1[flip]
+    elif kind == "bdg":
+        d1[flip], d2[flip] = log.d2[flip], log.d1[flip]
+    else:
+        d1[flip] = -d1[flip]
+    return EventLog(log.time, np.minimum(a, b), np.maximum(a, b), d1, d2)
 
 
 class TestPermutationEquivariance:
@@ -387,19 +382,36 @@ class TestEnsemble:
         assert_allclose(energies, 30.0, rtol=1e-12)
 
 
-def apply_pair_updates(model, x0, events):
+def log_columns(log):
+    return (log.time, log.i, log.j, log.d1, log.d2)
+
+
+def log_head(log, n):
+    """The first n events of a log."""
+    return EventLog(*(None if col is None else col[:n] for col in log_columns(log)))
+
+
+def same_log(a, b):
+    """Event logs with equal columns (d2 None in both, or equal)."""
+    return len(a) == len(b) and all(
+        x is y if x is None or y is None else np.array_equal(x, y)
+        for x, y in zip(log_columns(a), log_columns(b)))
+
+
+def apply_pair_updates(model, x0, log):
     """Apply an event log one event at a time with the public pair updates."""
     update = {"cl": cl_pair_update, "bdg": bdg_pair_update, "kac": kac_pair_update}[model.kind]
     state = np.array(x0, dtype=float) if model.kind == "kac" else wrap_angle(x0)
-    for ev in events:
-        state[ev.i], state[ev.j] = update(state[ev.i], state[ev.j], *ev.draws)
+    draws = zip(log.d1.tolist()) if log.d2 is None else zip(log.d1.tolist(), log.d2.tolist())
+    for i, j, d in zip(log.i.tolist(), log.j.tolist(), draws):
+        state[i], state[j] = update(state[i], state[j], *d)
     return state
 
 
 def contract_v2_reference(model, n, t_end, checkpoints, seed, r, initial=None):
     """Scalar reading of draw-order contract v2 for replica r of an ensemble.
 
-    The block draws become a JumpEvent log (pairs decoded with triu_indices,
+    The block draws become an EventLog (pairs decoded with triu_indices,
     which enumerates pairs in the same lexicographic order), and each
     checkpoint row is the events at or before it applied with the public pair
     updates. Returns the rows and the event log.
@@ -413,7 +425,7 @@ def contract_v2_reference(model, n, t_end, checkpoints, seed, r, initial=None):
         x0 = rng.random(n) * TWO_PI
     first, second = np.triu_indices(n, 1)
     B = EVENT_BLOCK
-    events = []
+    cols = ([], [], [], [], [])  # time, i, j, d1, d2
     t = 0.0
     while True:
         waits = rng.exponential(1.0 / n, B)
@@ -425,16 +437,18 @@ def contract_v2_reference(model, n, t_end, checkpoints, seed, r, initial=None):
             w = model.noise.sample(rng, 2 * B).tolist()
             draws = list(zip(w[0::2], w[1::2]))
         else:
-            draws = [(th,) for th in model.noise.sample(rng, B).tolist()]
-        for w, m, d in zip(waits, pairs, draws):
+            draws = [(th, None) for th in model.noise.sample(rng, B).tolist()]
+        for w, m, (d1, d2) in zip(waits, pairs, draws):
             t = t + w
             if t > t_end:
-                times = np.array([ev.time for ev in events])
-                rows = [apply_pair_updates(model, x0,
-                                           events[:np.searchsorted(times, c, side="right")])
+                log = EventLog(*map(np.array, cols[:4]),
+                               None if model.kind == "kac" else np.array(cols[4]))
+                rows = [apply_pair_updates(
+                            model, x0, log_head(log, np.searchsorted(log.time, c, side="right")))
                         for c in checkpoints]
-                return np.array(rows).reshape(len(checkpoints), n), events
-            events.append(JumpEvent(float(t), int(first[m]), int(second[m]), d))
+                return np.array(rows).reshape(len(checkpoints), n), log
+            for col, value in zip(cols, (float(t), int(first[m]), int(second[m]), d1, d2)):
+                col.append(value)
 
 
 class TestLockstepEnsemble:
@@ -445,7 +459,7 @@ class TestLockstepEnsemble:
         # mid-block and the last of its first block (a checkpoint the next
         # block must resolve)
         _, events = contract_v2_reference(model, self.N, self.T_END, [], self.SEED, 0)
-        mid, edge = events[EVENT_BLOCK // 2].time, events[EVENT_BLOCK - 1].time
+        mid, edge = events.time[EVENT_BLOCK // 2], events.time[EVENT_BLOCK - 1]
         return sorted([0.0, 0.0, mid, 123.4, 123.4, edge, edge, self.T_END])
 
     @pytest.mark.parametrize("kind,noise", [
@@ -503,7 +517,7 @@ class TestLockstepEnsemble:
             assert res.n_events == ens.n_events[r] == len(events) > 2 * EVENT_BLOCK
             assert np.array_equal(res.states, ens.snapshots[r])
             assert np.array_equal(res.final_state, ens.snapshots[r, -1])
-            assert res.events == events
+            assert same_log(res.events, events)
             assert np.array_equal(replay(model, x0, res.events), res.final_state)
 
     def test_event_log_cap_mid_block(self):
@@ -519,7 +533,7 @@ class TestLockstepEnsemble:
         capped, full, unlogged = runs
         assert full.n_events > 2 * EVENT_BLOCK and not full.events_truncated
         assert len(capped.events) == cap and capped.events_truncated
-        assert capped.events == full.events[:cap]
+        assert same_log(capped.events, log_head(full.events, cap))
         for res in (full, unlogged):
             assert res.n_events == capped.n_events
             assert np.array_equal(res.final_state, capped.final_state)
