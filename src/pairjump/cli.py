@@ -12,7 +12,8 @@ JSON form, and `simulate` refuses it (exit 1) rather than write `null`. The
 JSON report of `verify` carries the version and hash inline, since a comment
 line would break JSON parsers. `simulate`, `kinetic`, `oracle` and `verify`
 also write a `run.json` sidecar with wall times (per stage, per scenario)
-that vary between runs and are kept out of the reproducible artifacts.
+that vary between runs and are kept out of the reproducible artifacts; a bdg
+`kinetic` run adds the solver's step and clip counts.
 """
 
 from __future__ import annotations
@@ -139,12 +140,6 @@ def _write_csv(path: Path, config_hash: str, columns, rows) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _write_run_json(out: Path, config_hash: str, command: str, stages: dict, **fields) -> None:
     """The run.json sidecar of a command: the version, config hash, command
     and `fields`, then `stages` (wall seconds per stage).
@@ -240,7 +235,7 @@ def cmd_kinetic(cfg, out: Path, config_hash: str, workers: int) -> int:
         raise ConfigError(f"config: {exc}") from exc
 
     t0 = time.perf_counter()
-    rows = []
+    rows, fields = [], {}
     if kind == "cl":
         _check_modes(kmax, noise, initial)
         columns = ("t", "k", "fhat")
@@ -251,16 +246,18 @@ def cmd_kinetic(cfg, out: Path, config_hash: str, workers: int) -> int:
             for ki in range(kmax + 1):
                 rows.append((t, ki, sol.coeff(ki).real))
     else:
-        # checkpoints are nondecreasing, so each row continues the previous one
+        # checkpoints are nondecreasing, so each row continues the previous one;
+        # `fields` sums the solver's counts over the legs
         columns = ("t", "theta", "f")
         sol, t_prev = initial.tabulate(M), 0.0
         for t in cps:
-            sol, t_prev = bdg_evolve(sol, noise, t - t_prev, kcfg), t
+            sol, t_prev = bdg_evolve(sol, noise, t - t_prev, kcfg, fields), t
             rows.extend((t, theta, f) for theta, f in zip(sol.theta, sol.values))
     t1 = time.perf_counter()
     _write_csv(out / "kinetic.csv", config_hash, columns, rows)
     t2 = time.perf_counter()
-    _write_run_json(out, config_hash, "kinetic", {"solve_s": t1 - t0, "write_s": t2 - t1})
+    _write_run_json(out, config_hash, "kinetic", {"solve_s": t1 - t0, "write_s": t2 - t1},
+                    **fields)
     return 0
 
 
@@ -341,6 +338,8 @@ def cmd_verify(cfg, out: Path, config_hash: str, workers: int) -> int:
         if not isinstance(name, str) or name not in SCENARIOS:
             raise ConfigError(f"config field 'scenarios[{i}]': unknown scenario {name!r}; "
                               f"expected one of {sorted(SCENARIOS)}")
+        if name in names[:i]:
+            raise ConfigError(f"config field 'scenarios[{i}]': {name!r} is listed twice")
     seed = _get(cfg, "seed", int, required=False, default=MASTER_SEED,
                 check=lambda v: v >= 0, expect="a nonnegative integer seed")
 
@@ -352,15 +351,10 @@ def cmd_verify(cfg, out: Path, config_hash: str, workers: int) -> int:
         "passed": all(r.passed for r in reports),
         "scenarios": [report_dict(r) for r in reports],
     }
-    _write_json(out / "verify.json", payload)
+    (out / "verify.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     # timings vary from run to run, so they go to a sidecar and verify.json
     # stays byte-identical
-    _write_json(out / "run.json", {
-        "pairjump": __version__,
-        "config_sha256": config_hash,
-        "command": "verify",
-        "scenarios": [{"scenario": r.scenario, "elapsed_s": r.elapsed_s} for r in reports],
-    })
+    _write_run_json(out, config_hash, "verify", {f"{r.scenario}_s": r.elapsed_s for r in reports})
     return 0 if payload["passed"] else 1
 
 

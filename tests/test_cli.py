@@ -315,7 +315,11 @@ class TestKinetic:
             "initial": {"kind": "wrapped_normal", "param": 0.5},
             "t_end": 0.2, "checkpoints": [0.0, 0.2], "M": 64})
         outs = run_twice(tmp_path, "kinetic", cfg)
-        check_run_sidecar(outs, cfg, "kinetic", {}, {"solve_s", "write_s"})
+        stats = {}
+        bdg_evolve(WrappedNormalNoise(0.5).tabulate(64), WrappedNormalNoise(0.2), 0.2,
+                   KineticConfig(dt=0.02), stats)
+        assert stats["rk4_steps"] == 10
+        check_run_sidecar(outs, cfg, "kinetic", stats, {"solve_s", "write_s"})
         assert (outs[0] / "kinetic.csv").read_bytes() == (outs[1] / "kinetic.csv").read_bytes()
 
     def test_dt_type_error_has_one_prefix(self, tmp_path, capsys):
@@ -509,20 +513,19 @@ class TestVerify:
         assert blobs[0] == blobs[1]
 
     def test_run_sidecar_holds_timings_kept_out_of_report(self, tmp_path):
+        # two runs: the sidecar's size repeats, as for the other commands
         cfg = write_config(tmp_path, "ver.json", {"scenarios": ["A3", "A2"]})
-        out = tmp_path / "out"
-        assert main(["verify", "--config", str(cfg), "--out", str(out),
-                     "--threads", "1"]) == 0
-        run = json.loads((out / "run.json").read_text())
-        assert set(run) == {"pairjump", "config_sha256", "command", "scenarios"}
-        assert run["pairjump"] == __version__
-        assert run["config_sha256"] == hashlib.sha256(cfg.read_bytes()).hexdigest()
-        assert run["command"] == "verify"
-        assert [s["scenario"] for s in run["scenarios"]] == ["A3", "A2"]
-        for s in run["scenarios"]:
-            assert set(s) == {"scenario", "elapsed_s"}
-            assert isinstance(s["elapsed_s"], float) and s["elapsed_s"] >= 0.0
-        assert "elapsed" not in (out / "verify.json").read_text()
+        outs = run_twice(tmp_path, "verify", cfg)
+        check_run_sidecar(outs, cfg, "verify", {}, {"A3_s", "A2_s"})
+        run = json.loads((outs[0] / "run.json").read_text())
+        assert list(run["stages"]) == ["A3_s", "A2_s"]
+        assert "elapsed" not in (outs[0] / "verify.json").read_text()
+
+    def test_rejects_repeated_scenario(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "ver.json", {"scenarios": ["A3", "A2", "A3"]})
+        assert main(["verify", "--config", str(cfg),
+                     "--out", str(tmp_path / "o"), "--threads", "1"]) == 2
+        assert "config field 'scenarios[2]'" in capsys.readouterr().err
 
     def test_rejects_negative_seed(self, tmp_path, capsys, monkeypatch):
         def refuse(*args):

@@ -14,6 +14,7 @@ from pairjump.circle import (
 from pairjump.kinetic import (
     RATE_FACTOR,
     KineticConfig,
+    _pushforward_masses,
     bdg_evolve,
     bdg_gain,
     bdg_midpoint_pushforward,
@@ -21,6 +22,7 @@ from pairjump.kinetic import (
     cl_evolve,
 )
 from pairjump.models import midpoint_angle
+from pairjump.verify import _quadrature_gain
 
 
 def wn_coeffs(sigma2, K):
@@ -49,18 +51,22 @@ def rk4_mode_ode(c0, ghat, rate_factor, t, n_steps=10_000):
     return c
 
 
-def triple_loop_gain(f: GridDensity, g) -> np.ndarray:
-    """O(M^3) direct quadrature of the gain on the grid (the inner two loops
-    are vectorized; the arithmetic is the naive triple sum)."""
-    M = f.M
+def table_deposition(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
+    """Midpoint deposition of pa x pb scattered through the per-pair
+    bisector tables: the solver's former form, kept as its reference."""
+    M = pa.size
     lo, hi, w_hi = bisector_tables(M)
-    gv = g.tabulate(M).values
-    pm = np.outer(f.masses, f.masses)
-    out = np.empty(M)
-    for m in range(M):
-        out[m] = (pm * ((1.0 - w_hi) * gv[(m - lo) % M]
-                        + w_hi * gv[(m - hi) % M])).sum()
+    pm = np.outer(pa, pb).ravel()
+    w = w_hi.ravel()
+    out = np.bincount(lo.ravel(), weights=pm * (1.0 - w), minlength=M)
+    out += np.bincount(hi.ravel(), weights=pm * w, minlength=M)
     return out
+
+
+def half_circle(M):
+    v = np.zeros(M)
+    v[: M // 2] = 1.0
+    return GridDensity.from_unnormalized(v)
 
 
 class TestConfig:
@@ -183,6 +189,17 @@ class TestBisectorTable:
 
 
 class TestPushforward:
+    @pytest.mark.parametrize("M", [2 ** e for e in range(1, 11)])
+    def test_diagonal_sums_match_table_deposition(self, M):
+        rng = np.random.default_rng(M)
+        pa = rng.random(M)
+        pb = rng.random(M) ** 3  # a second, unequal factor
+        pa /= pa.sum()
+        pb /= pb.sum()
+        want = table_deposition(pa, pb)
+        got = _pushforward_masses(pa, pb)
+        assert np.max(np.abs(got - want)) <= 1e-14 * want.max()
+
     def test_point_mass_fixed(self):
         M = 32
         vals = np.zeros(M)
@@ -248,7 +265,7 @@ class TestGain:
         f = WrappedNormalNoise(0.3).tabulate(M)
         g = WrappedNormalNoise(0.1)
         got = bdg_gain(f, g)
-        want = triple_loop_gain(f, g)
+        want = _quadrature_gain(f, g) * (M / TWO_PI)
         assert np.max(np.abs(got.values - want)) < 1e-8
 
     def test_mass_one(self):
@@ -327,3 +344,49 @@ class TestBdgEvolve:
         m1 = [abs(fourier_coeffs(bdg_evolve(f0, g, t, self.CFG), 4).coeff(1))
               for t in (0.0, 1.0, 3.0)]
         assert m1[0] > m1[1] > m1[2]
+
+    def test_builds_no_table(self):
+        bisector_tables.cache_clear()
+        bdg_evolve(WrappedNormalNoise(0.3).tabulate(512), WrappedNormalNoise(0.2), 0.1, self.CFG)
+        assert bisector_tables.cache_info().misses == 0
+
+
+class TestBdgStats:
+    CFG = KineticConfig(dt=0.02)
+
+    def test_smooth_run_counts_steps_and_no_clips(self):
+        f0 = WrappedNormalNoise(0.3).tabulate(64)
+        stats = {}
+        bdg_evolve(f0, WrappedNormalNoise(0.2), 0.5, self.CFG, stats)
+        assert stats["rk4_steps"] == 25
+        assert stats["clipped_steps"] == 0
+        assert 0.0 < stats["min_pre_clip"] <= f0.masses.min()
+
+    def test_clips_are_counted(self):
+        # without noise, cells off the half circle stay empty in exact
+        # arithmetic; the FFT convolution leaves rounding-level negatives there
+        stats = {}
+        out = bdg_evolve(half_circle(64), point_mass_noise(64), 0.5, self.CFG, stats)
+        assert stats["rk4_steps"] == 25
+        assert 1 <= stats["clipped_steps"] <= 25
+        assert -1e-15 < stats["min_pre_clip"] < 0.0
+        assert out.values.min() >= 0.0
+
+    def test_counts_add_up_over_a_chain(self):
+        f0 = half_circle(64)
+        g = point_mass_noise(64)
+        whole, legs = {}, {}
+        bdg_evolve(f0, g, 0.5, self.CFG, whole)
+        mid = bdg_evolve(f0, g, 0.2, self.CFG, legs)
+        first = dict(legs)
+        bdg_evolve(mid, g, 0.3, self.CFG, legs)
+        assert first["rk4_steps"] == 10
+        assert legs["rk4_steps"] == 25 == whole["rk4_steps"]
+        assert legs["clipped_steps"] >= first["clipped_steps"]
+        assert legs["min_pre_clip"] <= first["min_pre_clip"]
+
+    def test_zero_time_takes_no_step(self):
+        f0 = WrappedNormalNoise(0.3).tabulate(32)
+        stats = {}
+        bdg_evolve(f0, WrappedNormalNoise(0.2), 0.0, self.CFG, stats)
+        assert stats == {"rk4_steps": 0, "clipped_steps": 0, "min_pre_clip": f0.masses.min()}
