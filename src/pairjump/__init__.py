@@ -25,6 +25,7 @@ from .diagnostics import (
     EnsembleSummary,
     chaos_distance,
     compare_flow,
+    iid_chaos_mean,
     iid_chaos_samples,
     summarize,
 )

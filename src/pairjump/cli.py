@@ -311,7 +311,8 @@ def cmd_oracle(cfg, out: Path, config_hash: str, workers: int) -> int:
     except ValueError as exc:
         raise ConfigError(f"config: {exc}") from exc
     t1 = time.perf_counter()
-    dist = stationary(tm, tol=tol)
+    solver = {}
+    dist = stationary(tm, tol=tol, stats=solver)
     t2 = time.perf_counter()
 
     rows = []
@@ -327,7 +328,8 @@ def cmd_oracle(cfg, out: Path, config_hash: str, workers: int) -> int:
     _write_run_json(out, config_hash, "oracle",
                     {"build_s": t1 - t0, "stationary_s": t2 - t1, "write_s": t3 - t2},
                     states=tm.n_states, nnz=int(P.nnz),
-                    matrix_bytes=int(P.data.nbytes + P.indices.nbytes + P.indptr.nbytes))
+                    matrix_bytes=int(P.data.nbytes + P.indices.nbytes + P.indptr.nbytes),
+                    **solver)
     return 0
 
 

@@ -158,12 +158,14 @@ def build_transition(model: ModelSpec, n_particles: int, grid_size: int) -> Tran
 
 
 def stationary(tm: TransitionMatrix, tol: float = 1e-12,
-               max_iter: int = 1_000_000, start: np.ndarray = None) -> JointDensity:
+               max_iter: int = 1_000_000, start: np.ndarray = None,
+               stats: dict | None = None) -> JointDensity:
     """Stationary law by power iteration (from uniform, or from ``start``).
 
     Stops when successive iterates differ by less than tol in L1 norm; at
     return the residual ||Q*F - F||_1 is below tol. Raises if the iteration
-    cap is hit first.
+    cap is hit first. Sets ``power_iterations`` and ``final_gap`` (the last
+    L1 difference) in ``stats``, if given.
     """
     PT = tm.P.T.tocsr()
     if start is None:
@@ -173,12 +175,14 @@ def stationary(tm: TransitionMatrix, tol: float = 1e-12,
         if d.shape != (tm.n_states,) or d.min() < 0.0 or d.sum() <= 0.0:
             raise ValueError("start must be a nonnegative vector on the state space")
         d = d / d.sum()
-    for _ in range(max_iter):
+    for it in range(1, max_iter + 1):
         d_next = PT @ d
         d_next /= d_next.sum()
         gap = np.abs(d_next - d).sum()
         d = d_next
         if gap < tol:
+            if stats is not None:
+                stats.update(power_iterations=it, final_gap=float(gap))
             return JointDensity(tm.n_particles, tm.grid_size, d)
     raise RuntimeError(f"power iteration did not reach tol={tol} (last gap {gap:.3e})")
 

@@ -12,7 +12,7 @@ from pairjump.circle import UniformNoise, WrappedNormalNoise
 from pairjump.cli import main
 from pairjump.kinetic import KineticConfig, bdg_evolve
 from pairjump.models import EnsembleResult, ModelSpec, simulate_ensemble
-from pairjump.oracle import build_transition
+from pairjump.oracle import build_transition, stationary
 
 
 def write_config(tmp_path, name, payload):
@@ -442,10 +442,13 @@ class TestOracle:
             "model": "bdg", "n_particles": 2, "M": 8,
             "noise": {"kind": "wrapped_normal", "param": 0.5}})
         outs = run_twice(tmp_path, "oracle", cfg)
-        P = build_transition(ModelSpec("bdg", WrappedNormalNoise(0.5)), 2, 8).P
+        tm = build_transition(ModelSpec("bdg", WrappedNormalNoise(0.5)), 2, 8)
+        solver, P = {}, tm.P
+        stationary(tm, stats=solver)
         check_run_sidecar(outs, cfg, "oracle", {
             "states": 64, "nnz": P.nnz,
             "matrix_bytes": P.data.nbytes + P.indices.nbytes + P.indptr.nbytes,
+            "power_iterations": solver["power_iterations"], "final_gap": solver["final_gap"],
         }, {"build_s", "stationary_s", "write_s"})
         assert (outs[0] / "oracle.csv").read_bytes() == (outs[1] / "oracle.csv").read_bytes()
 

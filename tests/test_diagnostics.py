@@ -15,10 +15,13 @@ from pairjump.circle import (
 )
 from pairjump.diagnostics import (
     FLOOR_GRID,
+    PHASOR_TABLE,
     SUMMARY_COLUMNS,
     chaos_distance,
     compare_flow,
     _mode_stats,
+    _phasors,
+    iid_chaos_mean,
     iid_chaos_samples,
     summarize,
     summary_rows,
@@ -61,11 +64,36 @@ def pair_stat_loops(snapshots, kmax):
     return out
 
 
-def searchsorted_floor(f, n_particles, n_replicas, kmax, n_boot, rng):
-    """The i.i.d. floor written out with a binary-search sampler and one new
-    array per mode, the plain form of ``iid_chaos_samples``."""
+def table_phasors(theta):
+    return _phasors(theta, np.empty(np.shape(theta), dtype=complex))
+
+
+def exp_phasors(theta):
+    return np.exp(-1j * theta)
+
+
+def plain_mode_stats(snapshots, kmax, phasors=table_phasors):
+    """a_r(k) and b_r(k) with one new array per mode over the whole ensemble,
+    the plain form of ``_mode_stats``."""
+    R, T, N = snapshots.shape
+    z = phasors(snapshots)
+    powers = np.ones_like(z)
+    a = np.empty((R, T, kmax + 1), dtype=complex)
+    b = np.empty((R, T, kmax + 1))
+    a[..., 0] = b[..., 0] = 1.0
+    for k in range(1, kmax + 1):
+        powers = powers * z
+        S = powers.sum(axis=-1)
+        a[..., k] = S / N
+        b[..., k] = (np.abs(S) ** 2 - N) / (N * (N - 1))
+    return a, b
+
+
+def searchsorted_floor(f, n_particles, n_replicas, kmax, n_boot, rng, phasors=table_phasors):
+    """The i.i.d. floor written out with a binary-search sampler and
+    ``plain_mode_stats``, the plain form of ``iid_chaos_samples``."""
     grid = density_from_coeffs(f, max(FLOOR_GRID, 2 * f.K + 2))
-    N, w = n_particles, TWO_PI / grid.M
+    w = TWO_PI / grid.M
     cum = np.cumsum(grid.masses)
     cum[-1] = 1.0
     ref = (np.abs(f.coeffs[f.K:f.K + kmax + 1]) ** 2)[1:]
@@ -75,14 +103,7 @@ def searchsorted_floor(f, n_particles, n_replicas, kmax, n_boot, rng):
         idx = np.searchsorted(cum, u, side="right")
         lo = np.concatenate(([0.0], cum))[idx]
         theta = (idx - 0.5 + (u - lo) / (grid.values[idx] * w)) * w % TWO_PI
-        z = np.exp(-1j * theta)
-        powers = np.ones_like(z)
-        b = np.empty((n_replicas, 1, kmax + 1))
-        b[..., 0] = 1.0
-        for k in range(1, kmax + 1):
-            powers = powers * z
-            S = powers.sum(axis=-1)
-            b[..., k] = (np.abs(S) ** 2 - N) / (N * (N - 1))
+        _, b = plain_mode_stats(theta, kmax, phasors)
         out[bi] = float(2.0 * np.sum((b[:, 0, 1:].mean(axis=0) - ref) ** 2))
     return out
 
@@ -95,6 +116,22 @@ def wn_reference(var, kmax):
 def uniform_reference(kmax):
     k = np.arange(-kmax, kmax + 1)
     return FourierDensity(np.where(k == 0, 1.0, 0.0).astype(complex))
+
+
+class TestPhasors:
+    H = TWO_PI / PHASOR_TABLE
+
+    @pytest.mark.parametrize("theta", [
+        np.random.default_rng(1).uniform(0.0, TWO_PI, 1 << 16),
+        np.arange(-PHASOR_TABLE, 2 * PHASOR_TABLE) * H,          # table points
+        (np.arange(-PHASOR_TABLE, 2 * PHASOR_TABLE) + 0.5) * H,  # rounding ties
+        np.array([0.0, np.nextafter(TWO_PI, 0.0), -0.0]),
+        -np.random.default_rng(2).uniform(0.0, TWO_PI, 1 << 14),
+        np.random.default_rng(3).uniform(-1e3, 1e3, 1 << 16),
+    ], ids=["uniform", "table", "ties", "ends", "negative", "large"])
+    def test_within_4_ulp_of_exp(self, theta):
+        err = np.abs(table_phasors(theta) - np.exp(-1j * theta))
+        assert err.max() <= 8.9e-16
 
 
 class TestSummarize:
@@ -121,24 +158,29 @@ class TestSummarize:
         direct_f1 = np.exp(-1j * snaps[..., None] * np.arange(4)).mean(axis=(0, 2))
         assert_allclose(s.f1, direct_f1, rtol=0, atol=1e-12)
 
+    def test_rejects_non_finite_angles(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            res = aligned_result()
+            res.snapshots[1, 0, 2] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                summarize(res)
+
     def test_blocked_recurrence_equals_plain_loop(self):
         # 20 replicas x 2 checkpoints of 2000 angles run in three blocks
         res = iid_result(WrappedNormalNoise(0.7), 2000, 20, 8, times=(0.0, 1.0))
         s = summarize(res, kmax=6)
-        z = np.exp(-1j * res.snapshots)
-        powers = np.ones_like(z)
-        N = 2000
-        a = np.empty((20, 2, 7), dtype=complex)
-        b = np.empty((20, 2, 7))
-        a[..., 0] = b[..., 0] = 1.0
-        for k in range(1, 7):
-            powers = powers * z
-            S = powers.sum(axis=-1)
-            a[..., k] = S / N
-            b[..., k] = (np.abs(S) ** 2 - N) / (N * (N - 1))
+        a, b = plain_mode_stats(res.snapshots, 6)
         assert s.f1.tobytes() == a.mean(axis=0).tobytes()
         assert s.pair.tobytes() == b.mean(axis=0).tobytes()
         assert s.pair_se.tobytes() == np.sqrt(b.var(axis=0, ddof=1) / 20).tobytes()
+
+    def test_within_ulps_of_exp_based_statistics(self):
+        # the table-driven phasors move the summary at ulp level only
+        res = iid_result(WrappedNormalNoise(0.7), 2000, 20, 8, times=(0.0, 1.0))
+        s = summarize(res, kmax=16)
+        a, b = plain_mode_stats(res.snapshots, 16, exp_phasors)
+        assert np.max(np.abs(s.f1 - a.mean(axis=0))) <= 2e-15
+        assert np.max(np.abs(s.pair - b.mean(axis=0))) <= 2e-16
 
     def test_mode_zero_and_bounds(self):
         s = summarize(iid_result(WrappedNormalNoise(1.0), 20, 30, 909), kmax=8)
@@ -281,6 +323,27 @@ class TestSampleDraws:
         got = iid_chaos_samples(f, n_particles, n_replicas, kmax, 4, np.random.default_rng(5))
         want = searchsorted_floor(f, n_particles, n_replicas, kmax, 4, np.random.default_rng(5))
         assert got.tobytes() == want.tobytes()
+        by_exp = searchsorted_floor(f, n_particles, n_replicas, kmax, 4,
+                                    np.random.default_rng(5), exp_phasors)
+        assert np.max(np.abs(got - by_exp) / by_exp) <= 1e-11
+
+
+class TestFloorMean:
+    def test_uniform_law_in_closed_form(self):
+        # c(k) = 0 for k != 0, so Var_k = 1 / (N (N - 1)) and the bias vanishes
+        N, R, K = 30, 7, 5
+        assert iid_chaos_mean(uniform_reference(8), N, R, K) == pytest.approx(
+            2 * K / (R * N * (N - 1)), rel=1e-12)
+
+    def test_matches_monte_carlo_mean(self):
+        f = wn_reference(0.5, 16)
+        draws = iid_chaos_samples(f, 50, 400, 16, 200, np.random.default_rng(2026))
+        z = (draws.mean() - iid_chaos_mean(f, 50, 400, 16)) / (draws.std(ddof=1) / math.sqrt(200))
+        assert abs(z) <= 3.0
+
+    def test_rejects_too_few_particles(self):
+        with pytest.raises(ValueError, match="n_particles"):
+            iid_chaos_mean(uniform_reference(4), 1, 10, 2)
 
 
 class TestSummaryRows:

@@ -180,6 +180,17 @@ class TestStationary:
         with pytest.raises(RuntimeError, match="gap"):
             stationary(tm, tol=1e-12, max_iter=2)
 
+    def test_stats_record_iterations_and_final_gap(self):
+        tm = build_transition(ModelSpec("cl", tabulated_wn(0.5, 8)), 3, 8)
+        stats = {"power_iterations": -1}
+        f = stationary(tm, tol=1e-10, stats=stats)
+        assert set(stats) == {"power_iterations", "final_gap"}
+        assert 0.0 <= stats["final_gap"] < 1e-10
+        # the same iteration capped one step short raises
+        with pytest.raises(RuntimeError, match="gap"):
+            stationary(tm, tol=1e-10, max_iter=stats["power_iterations"] - 1)
+        assert f.weights.tobytes() == stationary(tm, tol=1e-10).weights.tobytes()
+
     def test_n2_stationary_in_one_step(self):
         # for N=2 the pair-difference law of the stationary density is the
         # noise itself, reached after a single jump from independence
