@@ -1,0 +1,285 @@
+"""What each before/after comparison measures: one entry per ``BENCH_<topic>.json``.
+
+A topic's ``layers(src)`` imports the pairjump under ``src`` and returns a flat
+dict of figures: numbers (``_per_s`` in the name: higher is better, else lower)
+or strings such as digests. ``outputs(src, npz)``, where a topic has one, saves
+named arrays that ``bench/compare.py`` diffs between the sides.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+import numpy as np
+
+
+def _median_time(fn, runs: int) -> float:
+    fn()  # warm-up
+    times = []
+    for _ in range(runs):
+        t = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t)
+    return float(np.median(times))
+
+
+# ---------------------------------------------------------------------------
+# scalar: the single-trajectory path, ``simulate`` per model and noise (events
+# per wall second, no event log) and ``replay`` over a recorded cl log
+
+# (tag, model kind, noise, N, t_end): about 200k events each
+SIMULATE_CASES = (
+    ("kac_uniform", "kac", ("UniformNoise",), 50, 4000.0),
+    ("cl_wn", "cl", ("WrappedNormalNoise", 0.5), 200, 1000.0),
+    ("cl_uniform", "cl", ("UniformNoise",), 200, 1000.0),
+    ("cl_tab", "cl", ("TabulatedNoise", 64), 200, 1000.0),
+    ("bdg_wn", "bdg", ("WrappedNormalNoise", 0.2), 200, 1000.0),
+)
+REPLAY_CASE = ("cl", 200, 1000.0)
+
+
+def _noise(circle, spec):
+    name, *args = spec
+    if name == "TabulatedNoise":
+        return circle.TabulatedNoise(circle.WrappedNormalNoise(0.5).tabulate(args[0]).values)
+    return getattr(circle, name)(*args)
+
+
+def scalar_layers(src: Path) -> dict:
+    """Event rates of simulate (per case) and replay for the pairjump in src."""
+    sys.path.insert(0, str(src))
+    from pairjump import circle, models
+
+    rates = {}
+    for k, (tag, kind, noise, n, t_end) in enumerate(SIMULATE_CASES):
+        model = models.ModelSpec(kind, _noise(circle, noise))
+        rng = models.replica_rng(2026, k)
+        if kind == "kac":
+            x0 = models.sample_kac_state(n, rng)
+        else:
+            x0 = rng.random(n) * circle.TWO_PI
+        t = time.perf_counter()
+        res = models.simulate(model, x0, t_end, rng)
+        rates[f"simulate_events_per_s.{tag}"] = res.n_events / (time.perf_counter() - t)
+
+    kind, n, t_end = REPLAY_CASE
+    model = models.ModelSpec(kind, circle.WrappedNormalNoise(0.5))
+    rng = models.replica_rng(2026, 99)
+    x0 = rng.random(n) * circle.TWO_PI
+    res = models.simulate(model, x0, t_end, rng, record_events=True)
+    t = time.perf_counter()
+    final = models.replay(model, x0, res.events)
+    rates["replay_events_per_s.cl_wn"] = len(res.events) / (time.perf_counter() - t)
+    if not np.array_equal(final, res.final_state):
+        raise RuntimeError("replay does not reproduce simulate's final state")
+    return rates
+
+
+# ---------------------------------------------------------------------------
+# floor: sampling and mode statistics of one A4-shaped i.i.d. draw, and the
+# whole A4 floor, whose digest shows whether both sides return the same bytes
+
+DRAW_SHAPE = (400, 1, 800)  # A4: 400 replicas of N = 800, one checkpoint
+ENSEMBLE_SHAPE = (100, 2, 2000)  # perfbench ensemble: R = 100, 2 checkpoints, N = 2000
+KMAX = 16
+FLOOR_DRAWS = 300
+TIMED_CALLS = 9
+
+
+def _setup(src: Path):
+    """A4's reference law, the floor's grid of it, and an ensemble-shaped result."""
+    sys.path.insert(0, str(src))
+    from pairjump import circle, diagnostics, kinetic, models, verify
+
+    f_ref = kinetic.cl_evolve(verify._wn_fourier(0.5, KMAX), circle.WrappedNormalNoise(0.5), 1.0)
+    grid = circle.density_from_coeffs(f_ref, diagnostics.FLOOR_GRID)
+    ensemble = models.EnsembleResult(
+        times=np.array([0.25, 0.5]),
+        snapshots=np.random.default_rng(7).uniform(0.0, circle.TWO_PI, ENSEMBLE_SHAPE),
+        n_events=np.zeros(ENSEMBLE_SHAPE[0], dtype=np.int64))
+    return circle, diagnostics, verify, f_ref, grid, ensemble
+
+
+def _floor(diagnostics, verify, f_ref):
+    return diagnostics.iid_chaos_samples(f_ref, DRAW_SHAPE[2], DRAW_SHAPE[0], KMAX, FLOOR_DRAWS,
+                                         np.random.default_rng([verify.MASTER_SEED, 4]))
+
+
+def floor_layers(src: Path) -> dict:
+    """Per-draw and whole-floor times for the pairjump in src, at A4's settings."""
+    circle, diagnostics, verify, f_ref, grid, _ = _setup(src)
+    rng = np.random.default_rng(2026)
+    circle.sample_grid_density(grid, rng, DRAW_SHAPE)  # warm-up
+    sample, modes = [], []
+    for _ in range(TIMED_CALLS):
+        t = time.perf_counter()
+        x = circle.sample_grid_density(grid, rng, DRAW_SHAPE)
+        sample.append(time.perf_counter() - t)
+        t = time.perf_counter()
+        diagnostics._mode_stats(x, KMAX)
+        modes.append(time.perf_counter() - t)
+
+    t = time.perf_counter()
+    floor = _floor(diagnostics, verify, f_ref)
+    floor_s = time.perf_counter() - t
+    return {"sample_ms.a4_draw": 1e3 * float(np.median(sample)),
+            "mode_stats_ms.a4_draw": 1e3 * float(np.median(modes)),
+            "floor_s.a4": floor_s,
+            "floor_sha256.a4": hashlib.sha256(floor.tobytes()).hexdigest()}
+
+
+# ---------------------------------------------------------------------------
+# phasors: the mode statistics' exp(-i theta): ``_mode_stats`` per A4 draw, the
+# A4 floor and ``summarize`` at perfbench's ``ensemble`` shape. A side without
+# ``_phasors`` saves ``np.exp(-1j * theta)``, what its ``_mode_stats`` computes.
+
+
+def phasors_layers(src: Path) -> dict:
+    """Per-draw mode statistics, the whole floor and summarize for the pairjump in src."""
+    circle, diagnostics, verify, f_ref, grid, ensemble = _setup(src)
+    rng = np.random.default_rng(2026)
+    diagnostics._mode_stats(circle.sample_grid_density(grid, rng, DRAW_SHAPE), KMAX)  # warm-up
+    modes = []
+    for _ in range(TIMED_CALLS):
+        x = circle.sample_grid_density(grid, rng, DRAW_SHAPE)
+        t = time.perf_counter()
+        diagnostics._mode_stats(x, KMAX)
+        modes.append(time.perf_counter() - t)
+
+    t = time.perf_counter()
+    _floor(diagnostics, verify, f_ref)
+    floor_s = time.perf_counter() - t
+
+    summ = _median_time(lambda: diagnostics.summarize(ensemble, kmax=KMAX), TIMED_CALLS)
+    return {"mode_stats_ms.a4_draw": 1e3 * float(np.median(modes)),
+            "floor_s.a4": floor_s,
+            "summarize_ms.ensemble": 1e3 * summ}
+
+
+def phasors_outputs(src: Path, npz: Path) -> None:
+    """Phasors of fixed angles, f1 and C at both shapes, and the floor values."""
+    circle, diagnostics, verify, f_ref, grid, ensemble = _setup(src)
+    h = circle.TWO_PI / 1024
+    theta = np.concatenate((np.random.default_rng(1).uniform(0.0, circle.TWO_PI, 1 << 16),
+                            np.arange(1024) * h, (np.arange(1024) + 0.5) * h))
+    if hasattr(diagnostics, "_phasors"):
+        phasors = diagnostics._phasors(theta, np.empty(theta.shape, dtype=complex))
+    else:
+        phasors = np.exp(-1j * theta)
+    a, b = diagnostics._mode_stats(
+        circle.sample_grid_density(grid, np.random.default_rng(2026), DRAW_SHAPE), KMAX)
+    s = diagnostics.summarize(ensemble, kmax=KMAX)
+    np.savez(npz, phasor=phasors, **{"f1.a4_draw": a[:, 0, 1:], "C.a4_draw": b[:, 0, 1:],
+                                     "f1.ensemble": s.f1, "C.ensemble": s.pair,
+                                     "D.floor": _floor(diagnostics, verify, f_ref)})
+
+
+# ---------------------------------------------------------------------------
+# deposition: the midpoint (bdg) kinetic right-hand side, per call at each M
+# (the warm-up call is where a table-based deposition builds its tables), and
+# ``bdg_evolve`` at M = 1024 to t = 0.5, the largest solve of ``reference``.
+
+GRIDS = (256, 512, 1024)
+DEPOSITION_CALLS = 25
+EVOLVE_M, EVOLVE_T, EVOLVE_RUNS = 1024, 0.5, 3
+
+
+def _evolve(circle, kinetic):
+    f0 = circle.WrappedNormalNoise(0.5).tabulate(EVOLVE_M)
+    return kinetic.bdg_evolve(f0, circle.WrappedNormalNoise(0.2), EVOLVE_T,
+                              kinetic.KineticConfig(dt=0.02))
+
+
+def deposition_layers(src: Path) -> dict:
+    """Per-call deposition times and one large bdg solve for the pairjump in src."""
+    sys.path.insert(0, str(src))
+    from pairjump import circle, kinetic
+
+    times = {}
+    for M in GRIDS:
+        p = circle.WrappedNormalNoise(0.5).tabulate(M).masses
+        times[f"pushforward_ms.M{M}"] = 1e3 * _median_time(
+            lambda: kinetic._pushforward_masses(p, p), DEPOSITION_CALLS)
+    times[f"bdg_evolve_s.M{EVOLVE_M}"] = _median_time(lambda: _evolve(circle, kinetic),
+                                                       EVOLVE_RUNS)
+    return times
+
+
+def deposition_outputs(src: Path, npz: Path) -> None:
+    """Deposition of random unequal factors at each M, and the large solve's masses."""
+    sys.path.insert(0, str(src))
+    from pairjump import circle, kinetic
+
+    out = {}
+    for M in GRIDS:
+        rng = np.random.default_rng(M)
+        pa, pb = rng.random(M), rng.random(M) ** 3
+        out[f"pushforward.M{M}"] = kinetic._pushforward_masses(pa / pa.sum(), pb / pb.sum())
+    out[f"bdg_evolve.M{EVOLVE_M}"] = _evolve(circle, kinetic).masses
+    np.savez(npz, **out)
+
+
+# ---------------------------------------------------------------------------
+# snapshots: writing ``snapshots.jsonl`` in ``pairjump simulate`` on one job of
+# perfbench's ``ensemble`` shape, timed from ``simulate_ensemble`` returning to
+# ``summarize`` being called; the file must parse back to the engine's doubles.
+
+JOB = {"model": "cl", "n_particles": 2000, "noise": {"kind": "wrapped_normal", "param": 0.5},
+       "initial": {"kind": "wrapped_normal", "param": 0.5}, "t_end": 0.5,
+       "checkpoints": [0.25, 0.5], "replicas": 100, "seed": 20261018}
+TIMED_RUNS = 3
+
+
+def snapshots_layers(src: Path) -> dict:
+    """Snapshot-write time and bytes of one ensemble-shaped job for the pairjump in src."""
+    sys.path.insert(0, str(src))
+    from pairjump import cli
+
+    marks = {}
+    engine, summarize = cli.simulate_ensemble, cli.summarize
+
+    def timed_engine(*args, **kwargs):
+        marks["result"] = engine(*args, **kwargs)
+        marks["engine_done"] = time.perf_counter()
+        return marks["result"]
+
+    def timed_summarize(*args, **kwargs):
+        marks["summarize_called"] = time.perf_counter()
+        return summarize(*args, **kwargs)
+
+    cli.simulate_ensemble, cli.summarize = timed_engine, timed_summarize
+    writes = []
+    with tempfile.TemporaryDirectory() as work:
+        cfg = Path(work) / "config.json"
+        cfg.write_text(json.dumps(JOB))
+        out = Path(work) / "out"
+        for k in range(1 + TIMED_RUNS):
+            if cli.main(["simulate", "--config", str(cfg), "--out", str(out),
+                         "--threads", "1"]) != 0:
+                raise RuntimeError(f"pairjump simulate failed in {src}")
+            if k:
+                writes.append(marks["summarize_called"] - marks["engine_done"])
+        blob = (out / "snapshots.jsonl").read_bytes()
+    snapshots = marks["result"].snapshots
+    parsed = np.array([json.loads(line)["state"] for line in blob.splitlines()[1:]])
+    parsed = parsed.reshape(snapshots.shape)
+    if not np.array_equal(parsed, snapshots):
+        raise RuntimeError(f"snapshots.jsonl does not parse back to the engine's doubles in {src}")
+    return {"write_snapshots_s": float(np.median(writes)),
+            "snapshot_bytes": len(blob),
+            "parsed_sha256": hashlib.sha256(parsed.tobytes()).hexdigest()}
+
+
+# topic: (layers, outputs or None)
+TOPICS = {
+    "scalar": (scalar_layers, None),
+    "floor": (floor_layers, None),
+    "deposition": (deposition_layers, deposition_outputs),
+    "phasors": (phasors_layers, phasors_outputs),
+    "snapshots": (snapshots_layers, None),
+}

@@ -63,6 +63,8 @@ class GridDensity:
             raise ValueError("grid density needs a 1-d array of at least 2 values")
         if v.size & (v.size - 1):
             raise ValueError(f"grid size M={v.size} must be a power of two")
+        if not np.isfinite(v).all():
+            raise ValueError("grid density has non-finite values")
         if v.min() < 0.0:
             raise ValueError(f"grid density has negative values (min {v.min():.3e})")
         mass = v.sum() * (TWO_PI / v.size)
@@ -74,8 +76,8 @@ class GridDensity:
     def from_unnormalized(cls, values) -> "GridDensity":
         v = np.array(values, dtype=float)
         mass = v.sum() * (TWO_PI / v.size)
-        if mass <= 0.0:
-            raise ValueError("cannot normalize a density with nonpositive mass")
+        if not 0.0 < mass < np.inf:
+            raise ValueError("cannot normalize a density with nonpositive or non-finite mass")
         return cls(v / mass)
 
     @property
@@ -112,6 +114,8 @@ class FourierDensity:
         c = np.array(self.coeffs, dtype=complex)
         if c.ndim != 1 or c.size < 3 or c.size % 2 == 0:
             raise ValueError("coefficient array must have odd length 2K+1 >= 3")
+        if not np.isfinite(c).all():
+            raise ValueError("coefficients must be finite")
         K = (c.size - 1) // 2
         if abs(c[K] - 1.0) > 1e-12:
             raise ValueError(f"fhat(0) = {c[K]!r} must be 1 within 1e-12")
@@ -193,8 +197,8 @@ class WrappedNormalNoise(NoiseSpec):
     sigma2: float
 
     def __post_init__(self):
-        if not self.sigma2 > 0.0:
-            raise ValueError("sigma2 must be positive")
+        if not 0.0 < self.sigma2 < np.inf:
+            raise ValueError("sigma2 must be positive and finite")
 
     def fourier(self, k):
         k = np.asarray(k, dtype=float)
@@ -221,8 +225,8 @@ class VonMisesNoise(NoiseSpec):
     kappa: float
 
     def __post_init__(self):
-        if self.kappa < 0.0:
-            raise ValueError("kappa must be nonnegative")
+        if not 0.0 <= self.kappa < np.inf:
+            raise ValueError("kappa must be nonnegative and finite")
 
     def fourier(self, k):
         k = np.abs(np.asarray(k))

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -68,6 +69,8 @@ def _get(cfg, path, types, required=True, default=None, check=None, expect=""):
         raise ConfigError(f"config field '{path}': expected {expect or 'a number'}, got {node!r}")
     if not isinstance(node, types):
         raise ConfigError(f"config field '{path}': expected {expect or types}, got {node!r}")
+    if isinstance(node, float) and not math.isfinite(node):
+        raise ConfigError(f"config field '{path}': expected a finite number, got {node!r}")
     if check is not None and not check(node):
         raise ConfigError(f"config field '{path}': expected {expect or 'a valid value'}, "
                           f"got {node!r}")
@@ -105,8 +108,9 @@ def _checkpoints_from(cfg, t_end):
     if not cps:
         raise ConfigError("config field 'checkpoints': must not be empty")
     for i, t in enumerate(cps):
-        if isinstance(t, bool) or not isinstance(t, (int, float)):
-            raise ConfigError(f"config field 'checkpoints[{i}]': expected a time")
+        if (isinstance(t, bool) or not isinstance(t, (int, float))
+                or isinstance(t, float) and not math.isfinite(t)):
+            raise ConfigError(f"config field 'checkpoints[{i}]': expected a finite time")
     arr = [float(t) for t in cps]
     if any(b < a for a, b in zip(arr, arr[1:])) or arr[0] < 0.0 or arr[-1] > t_end:
         raise ConfigError("config field 'checkpoints': must be nondecreasing within [0, t_end]")

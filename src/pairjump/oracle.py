@@ -167,6 +167,8 @@ def stationary(tm: TransitionMatrix, tol: float = 1e-12,
     cap is hit first. Sets ``power_iterations`` and ``final_gap`` (the last
     L1 difference) in ``stats``, if given.
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     PT = tm.P.T.tocsr()
     if start is None:
         d = np.full(tm.n_states, 1.0 / tm.n_states)

@@ -1,0 +1,63 @@
+"""The before/after harness in bench/: its summaries, its table and its command line."""
+
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "bench"))
+
+import compare  # noqa: E402
+import topics  # noqa: E402
+
+
+def test_summary_medians_quartiles_and_pairs_won():
+    s = compare.summary([1.0, 2.0, 3.0, 4.0, 5.0], [0.5, 2.5, 2.0, 3.0, 6.0], lower=True)
+    assert s["parent_median"] == 3.0 and s["change_median"] == 2.5
+    assert s["parent_quartiles"] == [2.0, 4.0] and s["change_quartiles"] == [2.0, 3.0]
+    assert s["ratio_change_over_parent"] == pytest.approx(2.5 / 3.0, abs=1e-4)
+    assert s["pairs_change_better"] == 3 and s["pairs"] == 5
+    assert s["parent_runs"] == [1.0, 2.0, 3.0, 4.0, 5.0]
+    assert s["change_runs"] == [0.5, 2.5, 2.0, 3.0, 6.0]
+    # the same runs read as rates: the change wins where it is larger
+    assert compare.summary([1.0, 2.0, 3.0, 4.0, 5.0], [0.5, 2.5, 2.0, 3.0, 6.0],
+                           lower=False)["pairs_change_better"] == 2
+
+
+@pytest.mark.parametrize("name,lower", [
+    ("simulate_events_per_s.cl_wn", False),
+    ("replay_events_per_s.cl_wn", False),
+    ("models.events_per_s.cl_wn", False),
+    ("events_per_s", False),
+    ("wall_s", True),
+    ("peak_rss_mb", True),
+    ("floor_s.a4", True),
+    ("pushforward_ms.M256", True),
+    ("snapshot_bytes", True),
+])
+def test_direction_is_read_from_the_metric_name(name, lower):
+    assert compare.lower_is_better(name) is lower
+
+
+def test_unknown_topic_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        compare.main(["--topic", "no_such_topic", "--parent", ".", "--change", "."])
+    assert exc.value.code == 2
+    assert "--topic" in capsys.readouterr().err
+
+
+def test_every_topic_has_a_recorded_benchmark():
+    for name, (layers, outputs) in topics.TOPICS.items():
+        assert (ROOT / f"BENCH_{name}.json").is_file()
+        assert callable(layers) and (outputs is None or callable(outputs))
+
+
+def test_scalar_layers_report_the_recorded_metrics(monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    layers, _ = topics.TOPICS["scalar"]
+    got = layers(ROOT / "src")
+    recorded = json.loads((ROOT / "BENCH_scalar.json").read_text())["layers"]["metrics"]
+    assert list(got) == list(recorded)
+    assert all(v > 0 for v in got.values())

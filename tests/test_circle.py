@@ -109,6 +109,16 @@ class TestGridDensity:
         with pytest.raises(ValueError):
             GridDensity(values)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_values(self, bad):
+        # a NaN passes every comparison-based check, so it must be refused by name
+        values = np.full(64, 1.0 / TWO_PI)
+        values[3] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            GridDensity(values)
+        with pytest.raises(ValueError, match="non-finite"):
+            TabulatedNoise(values)
+
 
 class TestFourierDensity:
     def test_basic(self):
@@ -131,6 +141,10 @@ class TestFourierDensity:
     def test_rejects_modulus_above_one(self):
         with pytest.raises(ValueError):
             FourierDensity(np.array([1.5, 1.0, 1.5]))
+
+    def test_rejects_non_finite_coefficients(self):
+        with pytest.raises(ValueError, match="finite"):
+            FourierDensity(np.array([np.nan, 1.0, np.nan]))
 
     def test_coeff_out_of_range(self):
         fd = FourierDensity(np.array([0.5, 1.0, 0.5]))
@@ -202,6 +216,13 @@ class TestNoiseFourier:
     def test_von_mises_rejects_negative_kappa(self):
         with pytest.raises(ValueError):
             VonMisesNoise(-1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_parameters_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            WrappedNormalNoise(bad)
+        with pytest.raises(ValueError, match="finite"):
+            VonMisesNoise(bad)
 
     def test_tabulated_rejects_uneven_table(self):
         vals = WrappedNormalNoise(0.3).tabulate(64).values.copy()

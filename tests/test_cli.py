@@ -489,6 +489,31 @@ class TestOracle:
         assert "marginals[1]" in capsys.readouterr().err
 
 
+class TestNonFiniteConfig:
+    """JSON accepts NaN and Infinity; every command must refuse them, naming the field."""
+
+    NAN_TABLE = {"kind": "tabulated", "values": [math.nan] + TABLE8["values"][1:]}
+
+    @pytest.mark.parametrize("command,payload,field", [
+        ("simulate", simulate_config(t_end=math.inf), "t_end"),
+        ("simulate", simulate_config(checkpoints=[0.5, math.nan]), "checkpoints[1]"),
+        ("kinetic", {"model": "bdg", "noise": NAN_TABLE, "initial": {"kind": "uniform"},
+                     "t_end": 0.1}, "noise.values"),
+        ("kinetic", {"model": "cl", "noise": {"kind": "uniform"}, "initial": TABLE8,
+                     "t_end": 0.1, "dt": -math.inf}, "dt"),
+        ("oracle", {"model": "cl", "n_particles": 2, "M": 8, "noise": NAN_TABLE},
+         "noise.values"),
+        ("oracle", {"model": "cl", "n_particles": 2, "M": 8, "noise": {"kind": "uniform"},
+                    "tol": math.inf}, "tol"),
+    ], ids=["simulate-t_end", "simulate-checkpoint", "kinetic-table", "kinetic-dt",
+            "oracle-table", "oracle-tol"])
+    def test_refused_naming_field(self, tmp_path, capsys, command, payload, field):
+        cfg = write_config(tmp_path, "cfg.json", payload)
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o"),
+                     "--threads", "1"]) == 2
+        assert f"config field '{field}'" in capsys.readouterr().err
+
+
 class TestVerify:
     def test_report_written_and_passing(self, tmp_path):
         cfg = write_config(tmp_path, "ver.json", {"scenarios": ["A2", "A3"]})

@@ -180,6 +180,11 @@ class TestStationary:
         with pytest.raises(RuntimeError, match="gap"):
             stationary(tm, tol=1e-12, max_iter=2)
 
+    def test_rejects_empty_iteration_cap(self):
+        tm = build_transition(ModelSpec("cl", tabulated_wn(0.5, 4)), 2, 4)
+        with pytest.raises(ValueError, match="max_iter"):
+            stationary(tm, max_iter=0)
+
     def test_stats_record_iterations_and_final_gap(self):
         tm = build_transition(ModelSpec("cl", tabulated_wn(0.5, 8)), 3, 8)
         stats = {"power_iterations": -1}
