@@ -275,6 +275,53 @@ def snapshots_layers(src: Path) -> dict:
             "parsed_sha256": hashlib.sha256(parsed.tobytes()).hexdigest()}
 
 
+# ---------------------------------------------------------------------------
+# oracle: ``build_transition`` and ``stationary`` at perfbench's ``reference``
+# cases, each on a fresh matrix as ``reference`` runs them (a warm-up round
+# first), and the stationary weights
+
+ORACLE_CASES = tuple((kind, n, m) for kind in ("cl", "bdg") for n, m in ((3, 16), (4, 8)))
+ORACLE_RUNS = 5
+
+
+def _oracle_solve(circle, models, oracle, kind, n, m) -> tuple:
+    """Build and stationary wall seconds, the iteration count, nnz and the weights."""
+    g = circle.TabulatedNoise(circle.WrappedNormalNoise(0.5).tabulate(m).values)
+    t0 = time.perf_counter()
+    tm = oracle.build_transition(models.ModelSpec(kind, g), n, m)
+    t1 = time.perf_counter()
+    stats = {}
+    weights = oracle.stationary(tm, stats=stats).weights
+    t2 = time.perf_counter()
+    return t1 - t0, t2 - t1, stats["power_iterations"], tm.P.nnz, weights
+
+
+def oracle_layers(src: Path) -> dict:
+    """Per-case build and stationary times, iterations and nnz for the pairjump in src."""
+    sys.path.insert(0, str(src))
+    from pairjump import circle, models, oracle
+
+    figures = {}
+    for kind, n, m in ORACLE_CASES:
+        runs = [_oracle_solve(circle, models, oracle, kind, n, m) for _ in range(1 + ORACLE_RUNS)]
+        build, solve, iterations, nnz, _ = zip(*runs[1:])
+        tag = f"{kind}_{n}x{m}"
+        figures.update({f"build_s.{tag}": float(np.median(build)),
+                        f"stationary_s.{tag}": float(np.median(solve)),
+                        f"power_iterations.{tag}": iterations[0], f"nnz.{tag}": nnz[0]})
+    return figures
+
+
+def oracle_outputs(src: Path, npz: Path) -> None:
+    """The stationary weights of each case."""
+    sys.path.insert(0, str(src))
+    from pairjump import circle, models, oracle
+
+    np.savez(npz, **{f"stationary.{kind}_{n}x{m}":
+                     _oracle_solve(circle, models, oracle, kind, n, m)[4]
+                     for kind, n, m in ORACLE_CASES})
+
+
 # topic: (layers, outputs or None)
 TOPICS = {
     "scalar": (scalar_layers, None),
@@ -282,4 +329,5 @@ TOPICS = {
     "deposition": (deposition_layers, deposition_outputs),
     "phasors": (phasors_layers, phasors_outputs),
     "snapshots": (snapshots_layers, None),
+    "oracle": (oracle_layers, oracle_outputs),
 }

@@ -57,6 +57,14 @@ class ConfigError(ValueError):
     """Invalid configuration; the message names the offending field path."""
 
 
+def _finite(value) -> bool:
+    """Whether a JSON number is a finite double; an integer may be too large for one."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _get(cfg, path, types, required=True, default=None, check=None, expect=""):
     node = cfg
     for part in path.split("."):
@@ -69,8 +77,9 @@ def _get(cfg, path, types, required=True, default=None, check=None, expect=""):
         raise ConfigError(f"config field '{path}': expected {expect or 'a number'}, got {node!r}")
     if not isinstance(node, types):
         raise ConfigError(f"config field '{path}': expected {expect or types}, got {node!r}")
-    if isinstance(node, float) and not math.isfinite(node):
-        raise ConfigError(f"config field '{path}': expected a finite number, got {node!r}")
+    if isinstance(node, (int, float)) and not _finite(node):
+        got = "an integer beyond the double range" if isinstance(node, int) else repr(node)
+        raise ConfigError(f"config field '{path}': expected a finite number, got {got}")
     if check is not None and not check(node):
         raise ConfigError(f"config field '{path}': expected {expect or 'a valid value'}, "
                           f"got {node!r}")
@@ -97,7 +106,7 @@ def _noise_from(cfg, path, required=True):
                       expect="a list of grid values")
         try:
             return TabulatedNoise(np.asarray(values, dtype=float))
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise ConfigError(f"config field '{path}.values': {exc}") from exc
     raise ConfigError(f"config field '{path}.kind': unknown noise kind {kind!r}")
 
@@ -108,8 +117,7 @@ def _checkpoints_from(cfg, t_end):
     if not cps:
         raise ConfigError("config field 'checkpoints': must not be empty")
     for i, t in enumerate(cps):
-        if (isinstance(t, bool) or not isinstance(t, (int, float))
-                or isinstance(t, float) and not math.isfinite(t)):
+        if isinstance(t, bool) or not isinstance(t, (int, float)) or not _finite(t):
             raise ConfigError(f"config field 'checkpoints[{i}]': expected a finite time")
     arr = [float(t) for t in cps]
     if any(b < a for a, b in zip(arr, arr[1:])) or arr[0] < 0.0 or arr[-1] > t_end:
@@ -407,7 +415,7 @@ def main(argv=None) -> int:
         return 2
     try:
         cfg = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer too long to parse, or not UTF-8
         print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
         return 2
     if not isinstance(cfg, dict):

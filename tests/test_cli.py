@@ -251,6 +251,10 @@ class TestSimulate:
         assert main(["simulate", "--config", str(bad),
                      "--out", str(tmp_path / "o"), "--threads", "1"]) != 0
         assert "not valid JSON" in capsys.readouterr().err
+        bad.write_text('{"t_end": ' + "9" * 5000 + "}")  # past Python's int parsing limit
+        assert main(["simulate", "--config", str(bad),
+                     "--out", str(tmp_path / "o"), "--threads", "1"]) == 2
+        assert "not valid JSON" in capsys.readouterr().err
         assert main(["simulate", "--config", str(tmp_path / "absent.json"),
                      "--out", str(tmp_path / "o"), "--threads", "1"]) != 0
         assert "cannot read config" in capsys.readouterr().err
@@ -490,23 +494,31 @@ class TestOracle:
 
 
 class TestNonFiniteConfig:
-    """JSON accepts NaN and Infinity; every command must refuse them, naming the field."""
+    """JSON accepts NaN, Infinity and integers beyond the double range; every
+    command must refuse them, naming the field."""
 
     NAN_TABLE = {"kind": "tabulated", "values": [math.nan] + TABLE8["values"][1:]}
+    HUGE = 10 ** 400
 
     @pytest.mark.parametrize("command,payload,field", [
         ("simulate", simulate_config(t_end=math.inf), "t_end"),
         ("simulate", simulate_config(checkpoints=[0.5, math.nan]), "checkpoints[1]"),
+        ("simulate", simulate_config(t_end=HUGE), "t_end"),
+        ("simulate", simulate_config(checkpoints=[0.5, HUGE]), "checkpoints[1]"),
         ("kinetic", {"model": "bdg", "noise": NAN_TABLE, "initial": {"kind": "uniform"},
                      "t_end": 0.1}, "noise.values"),
         ("kinetic", {"model": "cl", "noise": {"kind": "uniform"}, "initial": TABLE8,
                      "t_end": 0.1, "dt": -math.inf}, "dt"),
         ("oracle", {"model": "cl", "n_particles": 2, "M": 8, "noise": NAN_TABLE},
          "noise.values"),
+        ("oracle", {"model": "cl", "n_particles": 2, "M": 8,
+                    "noise": {"kind": "tabulated", "values": [HUGE] + TABLE8["values"][1:]}},
+         "noise.values"),
         ("oracle", {"model": "cl", "n_particles": 2, "M": 8, "noise": {"kind": "uniform"},
                     "tol": math.inf}, "tol"),
-    ], ids=["simulate-t_end", "simulate-checkpoint", "kinetic-table", "kinetic-dt",
-            "oracle-table", "oracle-tol"])
+    ], ids=["simulate-t_end", "simulate-checkpoint", "simulate-huge-t_end",
+            "simulate-huge-checkpoint", "kinetic-table", "kinetic-dt", "oracle-table",
+            "oracle-huge-table", "oracle-tol"])
     def test_refused_naming_field(self, tmp_path, capsys, command, payload, field):
         cfg = write_config(tmp_path, "cfg.json", payload)
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o"),

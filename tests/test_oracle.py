@@ -2,14 +2,16 @@ import itertools
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+import scipy.sparse as sp
+from numpy.testing import assert_allclose, assert_array_equal
 
 from pairjump.circle import TabulatedNoise, UniformNoise, WrappedNormalNoise
+from pairjump.invariant import pair_correlation_closed
 from pairjump.kinetic import bisector_tables
 from pairjump.models import ModelSpec
 from pairjump.oracle import (
     JointDensity,
-    _pair_kernel,
+    _pair_factors,
     apply_generator,
     build_transition,
     marginal,
@@ -72,6 +74,88 @@ def lifted_pair_sum(K, N, M):
     return 2.0 / (N * (N - 1)) * T.reshape(M ** N, M ** N, order="F")
 
 
+def sorted_assembly(model, N, M):
+    """P as assembled before the pair kernel was factored: every (state, pair,
+    target) entry listed with int64 columns, then one global sum_duplicates."""
+    g = model.noise.tabulate(M).masses
+    if model.kind == "cl":
+        a, b, z = np.broadcast_arrays(*np.ix_(range(M), range(M), range(M)))
+        C = np.concatenate([a, (b + z) % M], axis=2)
+        D = np.concatenate([(a + z) % M, b], axis=2)
+        W = np.broadcast_to(np.concatenate([g, g]) / 2, C.shape)
+    else:
+        lo, hi, w_hi = bisector_tables(M)
+        G = g[(np.arange(M)[None, :] - np.arange(M)[:, None]) % M]
+        W = sum(q[:, :, None, None] * G[mid][:, :, :, None] * G[mid][:, :, None, :]
+                for mid, q in ((lo, 1.0 - w_hi), (hi, w_hi))).reshape(M, M, M * M)
+        C, D = np.broadcast_arrays(*np.divmod(np.arange(M * M), M), W)[:2]
+    pairs = list(itertools.combinations(range(N), 2))
+    T = C.shape[2]
+    x = np.arange(M ** N, dtype=np.int64)
+    stride = M ** np.arange(N, dtype=np.int64)
+    digit = (x[:, None] // stride) % M
+    cols = np.empty((M ** N, len(pairs), T), dtype=np.int64)
+    vals = np.empty((M ** N, len(pairs), T))
+    for p, (i, j) in enumerate(pairs):
+        di, dj = digit[:, i], digit[:, j]
+        base = x - di * stride[i] - dj * stride[j]
+        cols[:, p] = base[:, None] + C[di, dj] * stride[i] + D[di, dj] * stride[j]
+        vals[:, p] = 2.0 / (N * (N - 1)) * W[di, dj]
+    indptr = np.arange(0, cols.size + 1, len(pairs) * T)
+    P = sp.csr_matrix((vals.ravel(), cols.ravel(), indptr), shape=(M ** N, M ** N))
+    P.sum_duplicates()
+    return P
+
+
+OPERATOR_SIZES = [(2, 8), (3, 8), (3, 16), (4, 8)]
+
+
+class TestPairFactors:
+    @pytest.mark.parametrize("kind", ["cl", "bdg"])
+    def test_product_is_the_dense_kernel(self, kind):
+        M = 8
+        g = tabulated_wn(0.5, M)
+        D, H = _pair_factors(ModelSpec(kind, g), M)
+        direct = direct_cl_matrix if kind == "cl" else direct_bdg_matrix
+        assert_array_equal((D @ H).toarray(), direct(M, noise_masses(g, M)))
+
+    @pytest.mark.parametrize("kind", ["cl", "bdg"])
+    @pytest.mark.parametrize("M", [16, 64])
+    def test_factor_rows_and_nnz(self, kind, M):
+        # stochastic factors of O(M^2) and O(M^3) entries; K has up to M^4
+        D, H = _pair_factors(ModelSpec(kind, tabulated_wn(0.5, M)), M)
+        assert D.shape[0] == H.shape[1] == M * M
+        assert D.nnz <= 2 * M * M
+        assert H.nnz <= (2 * M * M if kind == "cl" else M ** 3)
+        assert_allclose(np.asarray(D.sum(axis=1)).ravel(), 1.0, rtol=0, atol=0)
+        assert_allclose(np.asarray(H.sum(axis=1)).ravel(), 1.0, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("kind", ["cl", "bdg"])
+    @pytest.mark.parametrize("N, M", OPERATOR_SIZES)
+    def test_rmatvec_matches_transposed_matrix(self, kind, N, M):
+        tm = build_transition(ModelSpec(kind, tabulated_wn(0.5, M)), N, M)
+        w = np.random.default_rng(N * M).random(tm.n_states)
+        assert np.abs(tm.rmatvec(w) - tm.P.T @ w).max() <= 1e-14
+
+    def test_rmatvec_rejects_wrong_length(self):
+        tm = build_transition(ModelSpec("cl", tabulated_wn(0.5, 4)), 3, 4)
+        with pytest.raises(ValueError, match="64"):
+            tm.rmatvec(np.ones(63))
+
+    @pytest.mark.parametrize("kind", ["cl", "bdg"])
+    @pytest.mark.parametrize("N, M", OPERATOR_SIZES)
+    def test_matches_sorted_assembly(self, kind, N, M):
+        model = ModelSpec(kind, tabulated_wn(0.5, M))
+        P = build_transition(model, N, M).P
+        want = sorted_assembly(model, N, M)
+        assert P.nnz == want.nnz
+        assert P.indices.dtype == np.int32
+        # sum_duplicates leaves want canonical: sorted and unique in each row
+        assert_array_equal(P.indptr, want.indptr)
+        assert_array_equal(P.indices, want.indices)
+        assert_allclose(P.data, want.data, rtol=0, atol=1e-15)
+
+
 class TestBuildTransition:
     def test_cl_rows_stochastic(self):
         tm = build_transition(ModelSpec("cl", tabulated_wn(0.5, 8)), 2, 8)
@@ -107,14 +191,6 @@ class TestBuildTransition:
         want = lifted_pair_sum(direct(M, noise_masses(g, M)), N, M)
         tm = build_transition(ModelSpec(kind, g), N, M)
         assert_allclose(tm.P.toarray(), want, rtol=0, atol=1e-15)
-
-    @pytest.mark.parametrize("kind", ["cl", "bdg"])
-    def test_pair_kernel_rows_sum_to_one(self, kind):
-        M = 16
-        C, D, W = _pair_kernel(ModelSpec(kind, tabulated_wn(0.5, M)), M)
-        assert C.shape == D.shape == W.shape
-        assert C.min() >= 0 and max(C.max(), D.max()) < M and D.min() >= 0
-        assert_allclose(W.sum(axis=2), 1.0, rtol=0, atol=1e-15)
 
     def test_preserves_symmetry(self):
         M, N = 16, 3
@@ -179,6 +255,26 @@ class TestStationary:
         tm = build_transition(ModelSpec("cl", tabulated_wn(0.5, 8)), 3, 8)
         with pytest.raises(RuntimeError, match="gap"):
             stationary(tm, tol=1e-12, max_iter=2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_start(self, bad):
+        tm = build_transition(ModelSpec("cl", tabulated_wn(0.5, 4)), 2, 4)
+        start = np.full(tm.n_states, 1.0)
+        start[3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            stationary(tm, start=start)
+
+    def test_pair_correlation_at_four_particles(self):
+        # A1's check at N=4: the exact stationary pair correlation equals
+        # the closed form up to the power iteration's tolerance
+        M, N = 16, 4
+        g = tabulated_wn(0.5, M)
+        f = stationary(build_transition(ModelSpec("cl", g), N, M))
+        prof = pair_difference_profile(marginal(f, [0, 1]))
+        theta = np.arange(M) * (2 * np.pi / M)
+        emp = (np.exp(-1j * np.outer(np.arange(5), theta)) @ prof).real
+        closed = pair_correlation_closed(g, N, 4).fhat
+        assert np.abs(emp[1:] - closed[1:]).max() < 1e-9
 
     def test_rejects_empty_iteration_cap(self):
         tm = build_transition(ModelSpec("cl", tabulated_wn(0.5, 4)), 2, 4)
@@ -325,3 +421,10 @@ class TestJointDensity:
             JointDensity(2, 4, np.full(16, 1.0))  # sums to 16
         with pytest.raises(ValueError):
             JointDensity(2, 4, np.full(15, 1.0 / 15))  # wrong size
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_weights(self, bad):
+        w = np.full(16, 1.0 / 16)
+        w[5] = bad
+        with pytest.raises(ValueError, match="finite"):
+            JointDensity(2, 4, w)
