@@ -9,8 +9,8 @@ TOPIC names an entry of ``bench/topics.py``; its code runs on each checkout's
 The output holds ``layers`` (per repeat), ``agreement`` (topics with outputs),
 ``workloads`` (each side's ``perfbench/run.py --trace 0`` per seed), ``tier1``
 (each side's test suite, R times) and ``traced`` (one ``--trace 1`` run per
-side and workload, parent first). ``--layers`` and ``--outputs`` are the
-per-process steps.
+side and workload, parent first). Each section is written to ``--out`` as soon
+as it finishes. ``--layers`` and ``--outputs`` are the per-process steps.
 """
 
 from __future__ import annotations
@@ -187,20 +187,23 @@ def main(argv=None) -> int:
     if args.parent is None or args.change is None or args.repeats < 1 or args.tier1 < 0:
         ap.error("--parent and --change are required, with --repeats >= 1 and --tier1 >= 0")
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    result = {"machine": machine(), "method": METHOD,
-              "layers": compare_layers(args.topic, sides, args.repeats)}
+    result = {"machine": machine(), "method": METHOD}
+
+    def section(name, value):  # written to --out as it finishes, so a later failure keeps it
+        result[name] = value
+        if args.out is not None:
+            args.out.write_text(json.dumps(result, indent=1) + "\n")
+
+    section("layers", compare_layers(args.topic, sides, args.repeats))
     if outputs is not None:
-        result["agreement"] = compare_outputs(args.topic, sides)
-    result["workloads"] = compare_workloads(sides, args.seeds, args.workloads, args.seconds)
+        section("agreement", compare_outputs(args.topic, sides))
+    section("workloads", compare_workloads(sides, args.seeds, args.workloads, args.seconds))
     if args.tier1:
-        result["tier1"] = compare_tier1(sides, args.tier1)
+        section("tier1", compare_tier1(sides, args.tier1))
     if args.traced is not None:
-        result["traced"] = compare_traced(sides, args.traced, args.workloads, args.seconds)
-    text = json.dumps(result, indent=1) + "\n"
-    if args.out is not None:
-        args.out.write_text(text)
-    else:
-        print(text)
+        section("traced", compare_traced(sides, args.traced, args.workloads, args.seconds))
+    if args.out is None:
+        print(json.dumps(result, indent=1))
     return 0
 
 

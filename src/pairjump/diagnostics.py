@@ -159,13 +159,13 @@ def _distance(pair: np.ndarray, ref: np.ndarray) -> float:
 
 
 def chaos_distance(summary: EnsembleSummary, f: FourierDensity,
-                   kmax: Optional[int] = None, checkpoint: int = -1) -> float:
-    """Distance D between the pair statistic and the product-law prediction."""
+                   kmax: Optional[int] = None) -> float:
+    """Distance D between the last checkpoint's pair statistic and the product-law prediction."""
     K = summary.kmax if kmax is None else kmax
     if K < 1 or K > summary.kmax:
         raise ValueError(f"kmax must be in 1..{summary.kmax}")
     ref = _reference_pair_power(f, K)
-    return _distance(summary.pair[checkpoint, 1:K + 1], ref[1:])
+    return _distance(summary.pair[-1, 1:K + 1], ref[1:])
 
 
 def compare_flow(summary: EnsembleSummary, kinetic_coeffs: np.ndarray,

@@ -62,7 +62,7 @@ class KineticConfig:
     dt: float = 0.02
 
     def __post_init__(self):
-        if self.dt <= 0.0 or self.dt > 0.1 / RATE_FACTOR + 1e-15:
+        if not 0.0 < self.dt <= 0.1 / RATE_FACTOR + 1e-15:
             raise ValueError(f"dt={self.dt} out of range; need 0 < dt <= {0.1 / RATE_FACTOR:g}")
 
 
@@ -73,8 +73,8 @@ def cl_evolve(f0: FourierDensity, g: NoiseSpec, t: float) -> FourierDensity:
     fhat(k, t) = fhat(k, 0) * exp((ghat(k) - 1) * t), since a tagged particle
     follows at rate RATE_FACTOR / 2 = 1.
     """
-    if t < 0.0:
-        raise ValueError("t must be nonnegative")
+    if not 0.0 <= t < np.inf:
+        raise ValueError(f"t must be finite and nonnegative, got {t!r}")
     ghat = np.asarray(g.fourier(f0.kvals), dtype=float)
     decay = np.exp((ghat - 1.0) * t)
     return FourierDensity(f0.coeffs * decay)
@@ -160,8 +160,8 @@ def bdg_evolve(f0: GridDensity, g: NoiseSpec, t: float,
     ``stats``, if given, ``rk4_steps``, ``clipped_steps`` and ``min_pre_clip``
     (the least mass, initial or pre-clip, negative iff a step clipped).
     """
-    if t < 0.0:
-        raise ValueError("t must be nonnegative")
+    if not 0.0 <= t < np.inf:
+        raise ValueError(f"t must be finite and nonnegative, got {t!r}")
     p = f0.masses.copy()
     steps = 0 if t == 0.0 else max(1, int(np.ceil(t / config.dt - 1e-12)))
     clipped, lowest, h = 0, float(p.min()), t / max(steps, 1)

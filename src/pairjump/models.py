@@ -29,15 +29,15 @@ block draws, in this order:
   (w_i, w_j); kac ``noise.sample(rng, B)`` rotation angles.
 
 Event times are the running sum of the waiting times. The first time past
-t_end ends the trajectory, and the rest of that block is discarded. A
-checkpoint row is the state after every event at or before the checkpoint.
-Both engines update with the same correctly rounded operations and ``%``,
-and take kac's cos/sin over a block's whole angle column, so replica r of an
-ensemble is, bit for bit, ``simulate`` on ``replica_rng(master_seed, r)``
-after its initial state. ``simulate`` keeps its event log as the blocks'
-draw columns (an ``EventLog``), and ``replay`` applies a log through the
-same update table in the same blocks, reproducing the final state bit for
-bit.
+t_end ends the trajectory, and the rest of that block is discarded. Both
+engines update with the same correctly rounded operations and ``%``, and
+take kac's cos/sin over a block's whole angle column, so ``simulate`` on
+``replica_rng(master_seed, r)`` after replica r's initial draw (none for a
+fixed start) has replica r's end state, event count and event log (the
+blocks' draw columns, an ``EventLog``), bit for bit. Checkpoint rows come
+from ``simulate_ensemble`` only: a row is the state after every event at or
+before the checkpoint. ``replay`` applies a log through the same update
+table in the same blocks, reproducing the final state bit for bit.
 
 Contract v1, retired when ``simulate`` moved to v2, drew per event the
 waiting time, the pair index and the model draws with scalar calls. A
@@ -74,6 +74,7 @@ __all__ = [
 
 MODEL_KINDS = ("bdg", "cl", "kac")
 EVENT_BLOCK = 1024  # events drawn per trajectory at a time (draw-order contract v2)
+EVENT_LOG_CAP = 1_000_000  # events an EventLog keeps; the rest are counted, not logged
 
 
 @dataclass(frozen=True)
@@ -116,8 +117,6 @@ class EventLog:
 
 @dataclass(eq=False)
 class SimulationResult:
-    times: np.ndarray            # checkpoint times, shape (T,)
-    states: np.ndarray           # state at each checkpoint, shape (T, N)
     final_state: np.ndarray      # state at t_end, shape (N,)
     n_events: int
     events: Optional["EventLog"] = None
@@ -233,21 +232,23 @@ def _check_initial(model: ModelSpec, initial) -> np.ndarray:
     return wrap_angle(state)
 
 
-def _check_checkpoints(checkpoints, t_end: float) -> np.ndarray:
+def _check_times(t_end: float, checkpoints: Sequence[float] = ()) -> np.ndarray:
+    if not 0.0 <= t_end < np.inf:
+        raise ValueError(f"t_end must be finite and nonnegative, got {t_end!r}")
     cps = np.asarray(checkpoints, dtype=float)
-    if cps.size and (np.any(np.diff(cps) < 0.0) or cps[0] < 0.0 or cps[-1] > t_end):
+    if cps.ndim != 1 or not np.all((cps >= 0.0) & (cps <= t_end)) or np.any(np.diff(cps) < 0.0):
         raise ValueError("checkpoints must be nondecreasing and lie in [0, t_end]")
     return cps
 
 
 def simulate(model: ModelSpec, initial, t_end: float, rng: np.random.Generator,
-             checkpoints: Sequence[float] = (), record_events: bool = False,
-             event_log_cap: int = 1_000_000) -> SimulationResult:
-    """Run one trajectory to t_end, recording the state at each checkpoint.
+             record_events: bool = False) -> SimulationResult:
+    """Run one trajectory to t_end: its end state, event count and event log.
 
-    Draws follow draw-order contract v2 (module docstring), so the trajectory
-    is replica r of ``simulate_ensemble`` when ``rng`` is
-    ``replica_rng(master_seed, r)`` and ``initial`` was drawn from it first.
+    Draws follow draw-order contract v2 (module docstring): with ``rng``
+    ``replica_rng(master_seed, r)`` after replica r's initial draw, this is
+    replica r of ``simulate_ensemble``. States at checkpoints come from
+    ``simulate_ensemble``, which also takes a fixed start.
 
     Parameters
     ----------
@@ -255,59 +256,35 @@ def simulate(model: ModelSpec, initial, t_end: float, rng: np.random.Generator,
     initial : array_like
         Angles (bdg, cl) or velocities on the energy sphere (kac).
     t_end : float
-        Horizon; events after t_end do not happen.
+        Finite horizon; events after t_end do not happen.
     rng : numpy.random.Generator
         Owned by this trajectory; the caller controls seeding.
-    checkpoints : sequence of float
-        Nondecreasing times in [0, t_end]; the state is recorded just before
-        the first event past each checkpoint.
     record_events : bool
-        Keep the event log, an EventLog of at most event_log_cap events;
+        Keep the event log, an EventLog of at most EVENT_LOG_CAP events;
         the result is flagged truncated if the cap is hit.
-
-    Returns
-    -------
-    SimulationResult
     """
-    if t_end < 0.0:
-        raise ValueError("t_end must be nonnegative")
+    _check_times(t_end)
     state = _check_initial(model, initial).tolist()
-    cps = _check_checkpoints(checkpoints, t_end)
     n = len(state)
     offsets = _pair_offsets(n)
     n_pairs = n * (n - 1) // 2
 
     B = EVENT_BLOCK
-    snaps = np.empty((cps.size, n))
     logged = []  # per block: the event log's column slices
     n_logged = 0
-    truncated = False
     n_events = 0
     t0 = 0.0
-    ci = 0
     while True:
         times = rng.exponential(1.0 / n, B)
         times[0] += t0
         np.cumsum(times, out=times)
         kept = int(np.count_nonzero(times <= t_end))
         drawn = _draw_block(model, offsets, n_pairs, rng)
-        table = _update_table(model.kind, *drawn)
-        done = 0
-        # a checkpoint is resolved here unless all B events precede it
-        while ci < cps.size:
-            at = int(np.searchsorted(times, cps[ci], side="right"))
-            if at == B:
-                break
-            _apply_events(model.kind, state, table, done, at)
-            done = at
-            snaps[ci] = state
-            ci += 1
-        _apply_events(model.kind, state, table, done, kept)
+        _apply_events(model.kind, state, _update_table(model.kind, *drawn), 0, kept)
         n_events += kept
 
         if record_events:
-            take = max(0, min(kept, event_log_cap - n_logged))
-            truncated = truncated or take < kept
+            take = max(0, min(kept, EVENT_LOG_CAP - n_logged))
             logged.append([None if col is None else col[:take] for col in (times, *drawn)])
             n_logged += take
         if kept < B:
@@ -318,8 +295,8 @@ def simulate(model: ModelSpec, initial, t_end: float, rng: np.random.Generator,
     if record_events:
         events = EventLog(*(None if cols[0] is None else np.concatenate(cols)
                             for cols in zip(*logged)))
-    return SimulationResult(times=cps, states=snaps, final_state=np.array(state),
-                            n_events=n_events, events=events, events_truncated=truncated)
+    return SimulationResult(final_state=np.array(state), n_events=n_events, events=events,
+                            events_truncated=record_events and n_logged < n_events)
 
 
 def replay(model: ModelSpec, initial, events: EventLog) -> np.ndarray:
@@ -394,6 +371,8 @@ def _apply_events(kind, state, table, e0, e1):
 
 
 def _draw_initial(model: ModelSpec, initial, n_particles: int, rng) -> np.ndarray:
+    if isinstance(initial, np.ndarray):  # a checked fixed start draws nothing
+        return initial
     if initial is None:
         if model.kind == "kac":
             return sample_kac_state(n_particles, rng)
@@ -403,21 +382,25 @@ def _draw_initial(model: ModelSpec, initial, n_particles: int, rng) -> np.ndarra
 
 def simulate_ensemble(model: ModelSpec, n_particles: int, t_end: float,
                       checkpoints: Sequence[float], n_replicas: int, master_seed: int,
-                      initial: Union[GridDensity, NoiseSpec, None] = None,
+                      initial: Union[GridDensity, NoiseSpec, Sequence[float], None] = None,
                       workers: int = 1) -> EnsembleResult:
     """Independent replicas with per-replica seeded streams (draw-order contract v2).
 
     initial = None draws uniform angles (or a uniform point on the energy
-    sphere for kac); otherwise each replica starts from N i.i.d. draws from
-    ``initial``. All replicas advance together, one event index at a time;
-    ``workers > 1`` splits them into contiguous blocks run in worker
-    processes. Output is identical for any ``workers`` value.
+    sphere for kac); a GridDensity or NoiseSpec starts each replica from N
+    i.i.d. draws from it; a state vector of length N (angles, or velocities
+    on the energy sphere for kac) is a fixed start that every replica shares
+    and that draws nothing. All replicas advance together, one event index
+    at a time; ``workers > 1`` splits them into contiguous blocks run in
+    worker processes. Output is identical for any ``workers`` value.
     """
     if n_replicas < 1:
         raise ValueError("n_replicas must be >= 1")
-    if t_end < 0.0:
-        raise ValueError("t_end must be nonnegative")
-    cps = _check_checkpoints(checkpoints, t_end)
+    cps = _check_times(t_end, checkpoints)
+    if initial is not None and not isinstance(initial, (GridDensity, NoiseSpec)):
+        initial = _check_initial(model, initial)
+        if initial.size != n_particles:
+            raise ValueError(f"fixed start has {initial.size} entries, not {n_particles}")
 
     n_jobs = max(1, min(workers, n_replicas))
     cuts = [n_replicas * k // n_jobs for k in range(n_jobs + 1)]

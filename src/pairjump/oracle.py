@@ -237,6 +237,8 @@ def stationary(tm: TransitionMatrix, tol: float = 1e-12,
     cap is hit first. Sets ``power_iterations`` and ``final_gap`` (the last
     L1 difference) in ``stats``, if given.
     """
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     if start is None:

@@ -61,3 +61,18 @@ def test_scalar_layers_report_the_recorded_metrics(monkeypatch):
     recorded = json.loads((ROOT / "BENCH_scalar.json").read_text())["layers"]["metrics"]
     assert list(got) == list(recorded)
     assert all(v > 0 for v in got.values())
+
+
+def test_out_keeps_finished_sections_when_a_later_step_fails(tmp_path, monkeypatch):
+    def failing_workloads(*args):
+        raise RuntimeError("a workload failed its checks")
+
+    monkeypatch.setattr(compare, "compare_layers", lambda *args: {"repeats": 1, "metrics": {}})
+    monkeypatch.setattr(compare, "compare_workloads", failing_workloads)
+    out = tmp_path / "BENCH_scalar.json"
+    with pytest.raises(RuntimeError, match="workload"):
+        compare.main(["--topic", "scalar", "--parent", str(tmp_path), "--change", str(tmp_path),
+                      "--out", str(out)])
+    written = json.loads(out.read_text())
+    assert written["layers"] == {"repeats": 1, "metrics": {}}
+    assert "workloads" not in written

@@ -80,6 +80,8 @@ class TestConfig:
         {"dt": 0.06},                       # > 0.1/2
         {"dt": 0.0},
         {"dt": 0.11},                       # > 0.1/1, the old bound at half the rate
+        {"dt": float("nan")},
+        {"dt": float("inf")},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -87,6 +89,14 @@ class TestConfig:
 
     def test_dt_bound_scales_with_rate(self):
         KineticConfig(dt=0.1 / RATE_FACTOR)  # allowed at the boundary, dt = 0.05
+
+    @pytest.mark.parametrize("t", [float("nan"), float("inf"), -0.5])
+    def test_solvers_refuse_bad_horizons(self, t):
+        g = WrappedNormalNoise(0.3)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            cl_evolve(wn_coeffs(0.5, 16), g, t)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            bdg_evolve(g.tabulate(32), g, t)
 
 
 class TestClEvolve:

@@ -10,6 +10,7 @@ from pairjump.circle import (
     WrappedNormalNoise,
     wrap_angle,
 )
+from pairjump import models
 from pairjump.models import (
     EVENT_BLOCK,
     EventLog,
@@ -25,7 +26,6 @@ from pairjump.models import (
     sample_kac_state,
     simulate,
     simulate_ensemble,
-    _draw_initial,
 )
 
 
@@ -199,39 +199,37 @@ class TestSimulate:
         assert np.all(np.diff(times) > 0)
         assert times[0] > 0 and times[-1] <= 5.0
 
+    # checkpoint rows come from the fixed-start ensemble; its replica 0 is
+    # simulate on replica_rng(seed, 0)
+
     def test_checkpoints(self):
         model = ModelSpec("cl", WrappedNormalNoise(0.5))
-        rng = replica_rng(2, 0)
-        init = rng.random(30) * TWO_PI
-        cps = [0.0, 0.5, 1.0]
-        res = simulate(model, init.copy(), 1.0, rng, checkpoints=cps)
-        assert res.states.shape == (3, 30)
-        assert np.array_equal(res.states[0], init)
-        assert np.array_equal(res.states[2], res.final_state)
+        init = replica_rng(2, 0).random(30) * TWO_PI
+        ens = simulate_ensemble(model, 30, 1.0, [0.0, 0.5, 1.0], 1, 2, initial=init)
+        res = simulate(model, init, 1.0, replica_rng(2, 0))
+        assert ens.snapshots.shape == (1, 3, 30)
+        assert np.array_equal(ens.snapshots[0, 0], init)
+        assert np.array_equal(ens.snapshots[0, 2], res.final_state)
 
     def test_snapshot_angles_in_range(self):
         model = ModelSpec("bdg", WrappedNormalNoise(0.5))
-        rng = replica_rng(21, 0)
-        res = simulate(model, rng.random(40) * TWO_PI, 3.0, rng,
-                       checkpoints=[1.0, 3.0])
-        assert np.all((res.states >= 0.0) & (res.states < TWO_PI))
+        init = replica_rng(21, 0).random(40) * TWO_PI
+        ens = simulate_ensemble(model, 40, 3.0, [1.0, 3.0], 2, 21, initial=init)
+        assert np.all((ens.snapshots >= 0.0) & (ens.snapshots < TWO_PI))
 
     def test_determinism_bit_identical(self):
         model = ModelSpec("bdg", WrappedNormalNoise(0.4))
-        runs = []
-        for _ in range(2):
-            rng = replica_rng(1234, 7)
-            init = sample_initial_chaotic(WrappedNormalNoise(0.5), 50, rng)
-            res = simulate(model, init, 2.0, rng, checkpoints=[1.0, 2.0])
-            runs.append(res)
-        assert np.array_equal(runs[0].states, runs[1].states)
-        assert runs[0].n_events == runs[1].n_events
+        init = sample_initial_chaotic(WrappedNormalNoise(0.5), 50, replica_rng(1234, 7))
+        runs = [simulate_ensemble(model, 50, 2.0, [1.0, 2.0], 2, 1234, initial=init)
+                for _ in range(2)]
+        assert np.array_equal(runs[0].snapshots, runs[1].snapshots)
+        assert np.array_equal(runs[0].n_events, runs[1].n_events)
 
-    def test_event_log_cap(self):
+    def test_event_log_cap(self, monkeypatch):
+        monkeypatch.setattr(models, "EVENT_LOG_CAP", 10)
         model = ModelSpec("cl", UniformNoise())
         rng = replica_rng(0, 0)
-        res = simulate(model, rng.random(10) * TWO_PI, 20.0, rng,
-                       record_events=True, event_log_cap=10)
+        res = simulate(model, rng.random(10) * TWO_PI, 20.0, rng, record_events=True)
         assert len(res.events) == 10
         assert res.events_truncated
         assert res.n_events > 10
@@ -262,12 +260,11 @@ class TestSimulate:
 
     def test_rejects_bad_checkpoints(self):
         model = ModelSpec("cl", UniformNoise())
-        rng = replica_rng(1, 0)
+        init = replica_rng(1, 0).random(5) * TWO_PI
         with pytest.raises(ValueError):
-            simulate(model, rng.random(5) * TWO_PI, 1.0, rng,
-                     checkpoints=[0.5, 0.2])
+            simulate_ensemble(model, 5, 1.0, [0.5, 0.2], 1, 1, initial=init)
         with pytest.raises(ValueError):
-            simulate(model, rng.random(5) * TWO_PI, 1.0, rng, checkpoints=[2.0])
+            simulate_ensemble(model, 5, 1.0, [2.0], 1, 1, initial=init)
 
     def test_n2_degenerate(self):
         model = ModelSpec("cl", UniformNoise())
@@ -451,6 +448,22 @@ def contract_v2_reference(model, n, t_end, checkpoints, seed, r, initial=None):
                 col.append(value)
 
 
+EVERY_MODEL = pytest.mark.parametrize("kind,noise", [
+    ("cl", WrappedNormalNoise(0.5)),
+    ("cl", TabulatedNoise(WrappedNormalNoise(0.5).tabulate(16).values)),
+    ("bdg", WrappedNormalNoise(0.3)),
+    ("kac", UniformNoise()),
+], ids=["cl_wn", "cl_tab", "bdg_wn", "kac"])
+
+
+def forbid(monkeypatch, name):
+    """Make models.<name> raise, so a test can show that no work started."""
+    def started(*args):
+        raise AssertionError(f"{name} ran")
+
+    monkeypatch.setattr(models, name, started)
+
+
 class TestLockstepEnsemble:
     N, T_END, SEED, R = 6, 400.0, 515, 3  # about 2400 events: three blocks
 
@@ -493,16 +506,11 @@ class TestLockstepEnsemble:
             # block cos/sin and scalar cos/sin may differ in the last bit
             assert_allclose(ens.snapshots[r], rows, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("kind,noise", [
-        ("cl", WrappedNormalNoise(0.5)),
-        ("cl", TabulatedNoise(WrappedNormalNoise(0.5).tabulate(16).values)),
-        ("bdg", WrappedNormalNoise(0.3)),
-        ("kac", UniformNoise()),
-    ], ids=["cl_wn", "cl_tab", "bdg_wn", "kac"])
+    @EVERY_MODEL
     def test_simulate_is_ensemble_replica(self, kind, noise):
         # replica r of the ensemble is simulate on replica_rng(s, r) after the
-        # initial draw: same rows, event count and event log as the reference,
-        # and replay of the log lands on the same final state
+        # initial draw: same final row and event count, the reference's event
+        # log, and replay of the log lands on the same final state
         model = ModelSpec(kind, noise)
         cps = self.checkpoints(model)
         init = WrappedNormalNoise(0.5) if kind == "bdg" else None
@@ -510,26 +518,25 @@ class TestLockstepEnsemble:
                                 initial=init)
         for r in range(self.R):
             rng = replica_rng(self.SEED, r)
-            x0 = _draw_initial(model, init, self.N, rng)
-            res = simulate(model, x0, self.T_END, rng, cps, record_events=True)
+            x0 = models._draw_initial(model, init, self.N, rng)
+            res = simulate(model, x0, self.T_END, rng, record_events=True)
             _, events = contract_v2_reference(model, self.N, self.T_END, [], self.SEED, r,
                                               initial=init)
             assert res.n_events == ens.n_events[r] == len(events) > 2 * EVENT_BLOCK
-            assert np.array_equal(res.states, ens.snapshots[r])
             assert np.array_equal(res.final_state, ens.snapshots[r, -1])
             assert same_log(res.events, events)
             assert np.array_equal(replay(model, x0, res.events), res.final_state)
 
-    def test_event_log_cap_mid_block(self):
+    def test_event_log_cap_mid_block(self, monkeypatch):
         cap = 1500
         assert cap % EVENT_BLOCK != 0
         model = ModelSpec("cl", WrappedNormalNoise(0.5))
         runs = []
         for record, log_cap in ((True, cap), (True, 10 * cap), (False, cap)):
+            monkeypatch.setattr(models, "EVENT_LOG_CAP", log_cap)
             rng = replica_rng(self.SEED, 0)
             x0 = rng.random(self.N) * TWO_PI
-            runs.append(simulate(model, x0, self.T_END, rng, record_events=record,
-                                 event_log_cap=log_cap))
+            runs.append(simulate(model, x0, self.T_END, rng, record_events=record))
         capped, full, unlogged = runs
         assert full.n_events > 2 * EVENT_BLOCK and not full.events_truncated
         assert len(capped.events) == cap and capped.events_truncated
@@ -556,6 +563,73 @@ class TestLockstepEnsemble:
         assert abs(ens.n_events.mean() - 200.0) < 4.0
 
 
+class TestFixedStart:
+    N, T_END, SEED, R = 6, 400.0, 515, 3  # about 2400 events per replica: three blocks
+
+    def start(self, kind):
+        """A start vector and its checked form (angles wrapped into [0, 2 pi))."""
+        x0 = np.random.default_rng(4).normal(scale=5.0, size=self.N)
+        if kind == "kac":
+            x0 = kac_state(x0)
+            return x0, x0
+        return x0, wrap_angle(x0)
+
+    @EVERY_MODEL
+    def test_replica_is_simulate_on_its_stream(self, kind, noise):
+        # every replica starts at the checked x0 and draws nothing for it, so
+        # replica r is simulate(model, x0, T, replica_rng(s, r)); the rows do
+        # not depend on the worker count
+        model = ModelSpec(kind, noise)
+        x0, checked = self.start(kind)
+        cps = [0.0, self.T_END / 4, self.T_END]
+        ens = simulate_ensemble(model, self.N, self.T_END, cps, self.R, self.SEED, initial=x0)
+        split = simulate_ensemble(model, self.N, self.T_END, cps, self.R, self.SEED,
+                                  initial=x0, workers=2)
+        assert np.array_equal(split.snapshots, ens.snapshots)
+        assert np.array_equal(split.n_events, ens.n_events)
+        assert np.array_equal(ens.snapshots[:, 0], np.broadcast_to(checked, (self.R, self.N)))
+        for r in range(self.R):
+            res = simulate(model, x0, self.T_END, replica_rng(self.SEED, r), record_events=True)
+            assert res.n_events == ens.n_events[r] > 2 * EVENT_BLOCK
+            assert np.array_equal(res.final_state, ens.snapshots[r, -1])
+            assert np.array_equal(replay(model, x0, res.events), ens.snapshots[r, -1])
+        assert not np.array_equal(ens.snapshots[0, -1], ens.snapshots[1, -1])
+
+    @pytest.mark.parametrize("kind,bad", [
+        ("cl", np.zeros(5)),                         # length 5, N = 6
+        ("kac", np.ones(7)),                         # length 7 on its own sphere
+        ("kac", 2.0 * np.ones(6)),                   # off the sphere sum v^2 = 6
+        ("cl", np.array([0.0, 1.0, np.nan, 2.0, 3.0, 4.0])),
+        ("bdg", np.array([0.0, 1.0, 2.0, np.inf, 3.0, 4.0])),
+    ])
+    def test_rejects_bad_start_before_any_work(self, kind, bad, monkeypatch):
+        forbid(monkeypatch, "_replica_job")
+        with pytest.raises(ValueError):
+            simulate_ensemble(ModelSpec(kind, UniformNoise()), 6, 1.0, [1.0], 2, 0, initial=bad)
+
+
+class TestNonFiniteTimes:
+    BAD_T_END = [float("nan"), float("inf"), -1.0]
+
+    @pytest.mark.parametrize("t_end", BAD_T_END)
+    def test_simulate_refuses_t_end(self, t_end, monkeypatch):
+        forbid(monkeypatch, "_draw_block")
+        with pytest.raises(ValueError, match="t_end"):
+            simulate(ModelSpec("cl", UniformNoise()), np.zeros(4), t_end, replica_rng(0, 0))
+
+    @pytest.mark.parametrize("t_end,checkpoints", [
+        *((t, []) for t in BAD_T_END),
+        (1.0, [0.5, float("nan")]),
+        (1.0, [float("nan")]),
+        (1.0, [0.5, float("inf")]),
+        (1.0, [-float("inf"), 0.5]),
+    ])
+    def test_ensemble_refuses_times(self, t_end, checkpoints, monkeypatch):
+        forbid(monkeypatch, "_replica_job")
+        with pytest.raises(ValueError):
+            simulate_ensemble(ModelSpec("cl", UniformNoise()), 4, t_end, checkpoints, 2, 0)
+
+
 class TestRateConsistency:
     def test_single_decay_constant_across_modes(self):
         """With uniform noise every mode k >= 1 must decay at the same rate c
@@ -571,9 +645,9 @@ class TestRateConsistency:
         for r in range(reps):
             rng = replica_rng(2026_08, r)
             init = sample_initial_chaotic(f0, n, rng)
-            res = simulate(model, init, t_end, rng, checkpoints=[t_end])
+            res = simulate(model, init, t_end, rng)
             acc0 += np.exp(-1j * np.outer(k, init)).mean(axis=1)
-            acc1 += np.exp(-1j * np.outer(k, res.states[0])).mean(axis=1)
+            acc1 += np.exp(-1j * np.outer(k, res.final_state)).mean(axis=1)
         ratio = np.abs(acc1 / acc0)
         c = -np.log(ratio) / t_end
         assert np.all(np.abs(c - 1.0) < 0.1)

@@ -281,6 +281,17 @@ class TestStationary:
         with pytest.raises(ValueError, match="max_iter"):
             stationary(tm, max_iter=0)
 
+    @pytest.mark.parametrize("tol", [float("nan"), 0.0, -1.0, float("inf")])
+    def test_rejects_bad_tolerance_before_iterating(self, tol, monkeypatch):
+        tm = build_transition(ModelSpec("cl", tabulated_wn(0.5, 4)), 2, 4)
+
+        def no_work(self, d):
+            raise AssertionError("iterated")
+
+        monkeypatch.setattr(type(tm), "rmatvec", no_work)
+        with pytest.raises(ValueError, match="tol"):
+            stationary(tm, tol=tol)
+
     def test_stats_record_iterations_and_final_gap(self):
         tm = build_transition(ModelSpec("cl", tabulated_wn(0.5, 8)), 3, 8)
         stats = {"power_iterations": -1}
