@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
 import sys
 import tempfile
 import time
@@ -167,7 +169,10 @@ def phasors_outputs(src: Path, npz: Path) -> None:
     h = circle.TWO_PI / 1024
     theta = np.concatenate((np.random.default_rng(1).uniform(0.0, circle.TWO_PI, 1 << 16),
                             np.arange(1024) * h, (np.arange(1024) + 0.5) * h))
-    if hasattr(diagnostics, "_phasors"):
+    if hasattr(diagnostics, "_phasor_work"):
+        phasors = diagnostics._phasors(theta, np.empty(theta.shape, dtype=complex),
+                                       diagnostics._phasor_work(theta.shape))
+    elif hasattr(diagnostics, "_phasors"):  # before the work arrays were passed in
         phasors = diagnostics._phasors(theta, np.empty(theta.shape, dtype=complex))
     else:
         phasors = np.exp(-1j * theta)
@@ -322,6 +327,66 @@ def oracle_outputs(src: Path, npz: Path) -> None:
                      for kind, n, m in ORACLE_CASES})
 
 
+# ---------------------------------------------------------------------------
+# startup: what a fresh ``pairjump`` process pays before it computes anything.
+# Each figure comes from its own new interpreter: the import of ``pairjump``
+# and of ``pairjump.cli`` (seconds, ``ru_maxrss`` after it, scipy modules then
+# loaded), and a whole small ``pairjump simulate`` process run through
+# ``cli.main``, timed from outside from start to exit.
+
+STARTUP_RUNS = 5
+IMPORT_PROBE = """
+import json, resource, sys, time
+t = time.perf_counter()
+import {module}
+t = time.perf_counter() - t
+print(json.dumps([t, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+                  sum(m == "scipy" or m.startswith("scipy.") for m in sys.modules)]))
+"""
+SIMULATE_PROBE = """
+import sys
+from pairjump import cli
+code = cli.main(sys.argv[1:])
+print(sum(m == "scipy" or m.startswith("scipy.") for m in sys.modules))
+sys.exit(code)
+"""
+SMALL_JOB = {"model": "cl", "n_particles": 50, "noise": {"kind": "wrapped_normal", "param": 0.5},
+             "initial": {"kind": "wrapped_normal", "param": 0.5}, "t_end": 1.0,
+             "checkpoints": [0.5, 1.0], "replicas": 4, "seed": 20261019}
+
+
+def _fresh(src: Path, code: str, *args) -> tuple:
+    """Wall seconds and last stdout line of ``python -c code args`` with src on the path."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    t = time.perf_counter()
+    out = subprocess.run([sys.executable, "-c", code, *args], env=env, check=True,
+                         stdout=subprocess.PIPE, text=True).stdout
+    return time.perf_counter() - t, out.splitlines()[-1]
+
+
+def startup_layers(src: Path) -> dict:
+    """Medians over STARTUP_RUNS fresh processes of each start-up figure for src."""
+    figures = {}
+    for tag, module in (("pairjump", "pairjump"), ("cli", "pairjump.cli")):
+        runs = [json.loads(_fresh(src, IMPORT_PROBE.format(module=module))[1])
+                for _ in range(STARTUP_RUNS)]
+        import_s, rss_mb, scipy_modules = zip(*runs)
+        figures.update({f"import_s.{tag}": float(np.median(import_s)),
+                        f"import_rss_mb.{tag}": float(np.median(rss_mb)),
+                        f"scipy_modules.{tag}": int(np.median(scipy_modules))})
+    with tempfile.TemporaryDirectory() as work:
+        cfg = Path(work) / "config.json"
+        cfg.write_text(json.dumps(SMALL_JOB))
+        runs = [_fresh(src, SIMULATE_PROBE, "simulate", "--config", str(cfg),
+                       "--out", str(Path(work) / "out"), "--threads", "1")
+                for _ in range(STARTUP_RUNS)]
+        blob = (Path(work) / "out" / "snapshots.jsonl").read_bytes()
+    figures.update({"simulate_process_s.small": float(np.median([t for t, _ in runs])),
+                    "scipy_modules.simulate": int(np.median([int(n) for _, n in runs])),
+                    "snapshots_sha256.small": hashlib.sha256(blob).hexdigest()})
+    return figures
+
+
 # topic: (layers, outputs or None)
 TOPICS = {
     "scalar": (scalar_layers, None),
@@ -330,4 +395,5 @@ TOPICS = {
     "phasors": (phasors_layers, phasors_outputs),
     "snapshots": (snapshots_layers, None),
     "oracle": (oracle_layers, oracle_outputs),
+    "startup": (startup_layers, None),
 }

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.special import ive
 
 __all__ = [
     "TWO_PI",
@@ -229,6 +228,8 @@ class VonMisesNoise(NoiseSpec):
             raise ValueError("kappa must be nonnegative and finite")
 
     def fourier(self, k):
+        from scipy.special import ive  # here, not at module level: only von Mises needs scipy
+
         k = np.abs(np.asarray(k))
         if self.kappa == 0.0:
             out = np.where(k == 0, 1.0, 0.0)
@@ -237,6 +238,8 @@ class VonMisesNoise(NoiseSpec):
         return float(out) if out.ndim == 0 else out
 
     def density(self, theta):
+        from scipy.special import ive
+
         theta = np.asarray(theta, dtype=float)
         # exp(kappa cos t)/(2 pi I0(kappa)), written with ive for large kappa
         return np.exp(self.kappa * (np.cos(theta) - 1.0)) / (TWO_PI * ive(0, self.kappa))

@@ -136,11 +136,21 @@ def bdg_midpoint_pushforward(f: GridDensity) -> GridDensity:
     return GridDensity.from_unnormalized(masses * (f.M / TWO_PI))
 
 
-def bdg_gain(f: GridDensity, g: NoiseSpec) -> GridDensity:
-    """Gain term of the midpoint model: noise convolved with the midpoint law."""
+def bdg_gain(f: GridDensity, g: NoiseSpec, stats: dict | None = None) -> GridDensity:
+    """Gain term of the midpoint model: noise convolved with the midpoint law.
+
+    Rounding-level undershoots of the FFT convolution, down to -1e-12, are
+    clipped to 0 before normalizing; a lower value raises. Adds to ``stats``,
+    if given, ``clipped_cells`` and ``min_pre_clip`` (the least mass before
+    clipping, negative iff a cell was clipped).
+    """
     masses = _gain_masses(f.masses, np.fft.rfft(g.tabulate(f.M).masses))
-    if masses.min() < -1e-12:
-        raise ValueError(f"gain came out negative (min {masses.min():.3e})")
+    low = float(masses.min())
+    if low < -1e-12:
+        raise ValueError(f"gain came out negative (min {low:.3e})")
+    if stats is not None:
+        stats["clipped_cells"] = stats.get("clipped_cells", 0) + int(np.count_nonzero(masses < 0.0))
+        stats["min_pre_clip"] = min(stats.get("min_pre_clip", low), low)
     masses = np.clip(masses, 0.0, None)
     return GridDensity.from_unnormalized(masses * (f.M / TWO_PI))
 

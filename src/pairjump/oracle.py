@@ -23,13 +23,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .kinetic import bisector_tables
 from .models import ModelSpec
+
+if TYPE_CHECKING:  # the builders import scipy.sparse when called, not at import
+    import scipy.sparse as sp
 
 __all__ = [
     "TransitionMatrix",
@@ -129,6 +131,8 @@ class JointDensity:
 
 def _sparse(rows, cols, vals, shape) -> sp.csr_matrix:
     """CSR from (row, column, value) triplets, leaving out zero values."""
+    import scipy.sparse as sp
+
     keep = vals != 0.0
     return sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=shape)
 
@@ -143,6 +147,8 @@ def _pair_factors(model: ModelSpec, M: int):
     deposits the midpoint as ``bisector_tables`` does; H (M x M^2) moves both
     to it plus independent noise, H[m, (c, d)] = g[c - m] * g[d - m].
     """
+    import scipy.sparse as sp
+
     g = model.noise.tabulate(M).masses
     if model.kind == "cl":
         b, a = np.divmod(np.arange(M * M), M)
@@ -174,6 +180,8 @@ def build_transition(model: ModelSpec, n_particles: int, grid_size: int) -> Tran
     n_particles, grid_size : int
         N >= 2 particles on the M-point grid.
     """
+    import scipy.sparse as sp
+
     N, M = n_particles, grid_size
     if model.kind == "kac":
         raise ValueError("grid oracle covers circle models only (cl, bdg)")

@@ -400,3 +400,34 @@ class TestBdgStats:
         stats = {}
         bdg_evolve(f0, WrappedNormalNoise(0.2), 0.0, self.CFG, stats)
         assert stats == {"rk4_steps": 0, "clipped_steps": 0, "min_pre_clip": f0.masses.min()}
+
+    def test_gain_counts_its_clipped_cells(self):
+        # a one-cell density under tabulated noise with empty cells: exact
+        # arithmetic leaves those cells at 0, the FFT at rounding-level negatives
+        f = GridDensity.from_unnormalized(np.eye(64)[5])
+        vals = WrappedNormalNoise(0.05).tabulate(64).values
+        g = TabulatedNoise(np.where(vals < 1e-3, 0.0, vals))
+        stats = {}
+        out = bdg_gain(f, g, stats)
+        assert stats["clipped_cells"] >= 1
+        assert -1e-15 < stats["min_pre_clip"] < 0.0
+        assert out.values.min() >= 0.0
+        assert out.values.tobytes() == bdg_gain(f, g).values.tobytes()
+
+    def test_smooth_gain_clips_nothing(self):
+        f = WrappedNormalNoise(0.3).tabulate(64)
+        stats = {}
+        out = bdg_gain(f, WrappedNormalNoise(0.2), stats)
+        assert stats["clipped_cells"] == 0
+        assert stats["min_pre_clip"] == pytest.approx(out.masses.min(), rel=1e-12)
+        assert stats["min_pre_clip"] > 0.0
+
+    def test_gain_counts_add_up(self):
+        f, g = half_circle(64), point_mass_noise(64)
+        once, twice = {}, {}
+        bdg_gain(f, g, once)
+        bdg_gain(f, g, twice)
+        bdg_gain(f, g, twice)
+        assert once["clipped_cells"] >= 1
+        assert twice == {"clipped_cells": 2 * once["clipped_cells"],
+                         "min_pre_clip": once["min_pre_clip"]}
