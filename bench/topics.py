@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import subprocess
 import sys
 import tempfile
@@ -169,10 +168,7 @@ def phasors_outputs(src: Path, npz: Path) -> None:
     h = circle.TWO_PI / 1024
     theta = np.concatenate((np.random.default_rng(1).uniform(0.0, circle.TWO_PI, 1 << 16),
                             np.arange(1024) * h, (np.arange(1024) + 0.5) * h))
-    if hasattr(diagnostics, "_phasor_work"):
-        phasors = diagnostics._phasors(theta, np.empty(theta.shape, dtype=complex),
-                                       diagnostics._phasor_work(theta.shape))
-    elif hasattr(diagnostics, "_phasors"):  # before the work arrays were passed in
+    if hasattr(diagnostics, "_phasors"):
         phasors = diagnostics._phasors(theta, np.empty(theta.shape, dtype=complex))
     else:
         phasors = np.exp(-1j * theta)
@@ -329,12 +325,11 @@ def oracle_outputs(src: Path, npz: Path) -> None:
 
 # ---------------------------------------------------------------------------
 # startup: what a fresh ``pairjump`` process pays before it computes anything.
-# Each figure comes from its own new interpreter: the import of ``pairjump``
-# and of ``pairjump.cli`` (seconds, ``ru_maxrss`` after it, scipy modules then
-# loaded), and a whole small ``pairjump simulate`` process run through
-# ``cli.main``, timed from outside from start to exit.
+# Each figure comes from its own new interpreter, one per repeat: the import
+# of ``pairjump`` and of ``pairjump.cli`` (seconds, ``ru_maxrss`` after it,
+# scipy modules then loaded), and a whole small ``pairjump simulate`` process
+# run through ``cli.main``, timed from outside from start to exit.
 
-STARTUP_RUNS = 5
 IMPORT_PROBE = """
 import json, resource, sys, time
 t = time.perf_counter()
@@ -356,33 +351,27 @@ SMALL_JOB = {"model": "cl", "n_particles": 50, "noise": {"kind": "wrapped_normal
 
 
 def _fresh(src: Path, code: str, *args) -> tuple:
-    """Wall seconds and last stdout line of ``python -c code args`` with src on the path."""
-    env = dict(os.environ, PYTHONPATH=str(src))
-    t = time.perf_counter()
-    out = subprocess.run([sys.executable, "-c", code, *args], env=env, check=True,
-                         stdout=subprocess.PIPE, text=True).stdout
+    """Wall seconds and last stdout line of ``python -c code args`` run in src."""
+    t = time.perf_counter()  # in src, the script's first path entry finds src's pairjump
+    out = subprocess.check_output([sys.executable, "-c", code, *args], cwd=src, text=True)
     return time.perf_counter() - t, out.splitlines()[-1]
 
 
 def startup_layers(src: Path) -> dict:
-    """Medians over STARTUP_RUNS fresh processes of each start-up figure for src."""
+    """Each start-up figure for src, from one fresh process per figure."""
     figures = {}
     for tag, module in (("pairjump", "pairjump"), ("cli", "pairjump.cli")):
-        runs = [json.loads(_fresh(src, IMPORT_PROBE.format(module=module))[1])
-                for _ in range(STARTUP_RUNS)]
-        import_s, rss_mb, scipy_modules = zip(*runs)
-        figures.update({f"import_s.{tag}": float(np.median(import_s)),
-                        f"import_rss_mb.{tag}": float(np.median(rss_mb)),
-                        f"scipy_modules.{tag}": int(np.median(scipy_modules))})
+        import_s, rss_mb, scipy_modules = json.loads(
+            _fresh(src, IMPORT_PROBE.format(module=module))[1])
+        figures.update({f"import_s.{tag}": import_s, f"import_rss_mb.{tag}": rss_mb,
+                        f"scipy_modules.{tag}": scipy_modules})
     with tempfile.TemporaryDirectory() as work:
         cfg = Path(work) / "config.json"
         cfg.write_text(json.dumps(SMALL_JOB))
-        runs = [_fresh(src, SIMULATE_PROBE, "simulate", "--config", str(cfg),
-                       "--out", str(Path(work) / "out"), "--threads", "1")
-                for _ in range(STARTUP_RUNS)]
+        wall, scipy_modules = _fresh(src, SIMULATE_PROBE, "simulate", "--config", str(cfg),
+                                     "--out", str(Path(work) / "out"), "--threads", "1")
         blob = (Path(work) / "out" / "snapshots.jsonl").read_bytes()
-    figures.update({"simulate_process_s.small": float(np.median([t for t, _ in runs])),
-                    "scipy_modules.simulate": int(np.median([int(n) for _, n in runs])),
+    figures.update({"simulate_process_s.small": wall, "scipy_modules.simulate": int(scipy_modules),
                     "snapshots_sha256.small": hashlib.sha256(blob).hexdigest()})
     return figures
 

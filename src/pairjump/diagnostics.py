@@ -62,22 +62,13 @@ _QUARTER = np.exp(-1j * (_J * _H1 + _J * _H2))
 _TABLE = np.concatenate((_QUARTER, -1j * _QUARTER, -_QUARTER, 1j * _QUARTER))
 
 
-def _phasor_work(shape) -> tuple:
-    # the work arrays of _phasors for angles of this shape: m, x, x^2, the
-    # table index and the gathered table entries
-    return (np.empty(shape), np.empty(shape), np.empty(shape),
-            np.empty(shape, dtype=np.intp), np.empty(shape, dtype=complex))
-
-
-def _phasors(theta: np.ndarray, out: np.ndarray, work: tuple) -> np.ndarray:
-    # exp(-i theta) elementwise into the complex array out of theta's shape,
-    # overwriting the arrays of work = _phasor_work(theta.shape)
-    m, x, x2, index, gather = work
-    np.multiply(theta, PHASOR_TABLE / TWO_PI, out=m)
+def _phasors(theta: np.ndarray, out: np.ndarray) -> np.ndarray:
+    # exp(-i theta) elementwise into the complex array out of theta's shape
+    m = np.multiply(theta, PHASOR_TABLE / TWO_PI)
     np.rint(m, out=m)
-    np.multiply(m, -_H1, out=x)
+    x = np.multiply(m, -_H1)
     x += theta  # exact (Sterbenz): m * _H1 is within a factor 2 of theta
-    np.multiply(m, _H2, out=x2)
+    x2 = np.multiply(m, _H2)
     x -= x2
     np.multiply(x, x, out=x2)
     re, im = out.real, out.imag
@@ -90,9 +81,9 @@ def _phasors(theta: np.ndarray, out: np.ndarray, work: tuple) -> np.ndarray:
     im *= x2
     im -= 1.0
     im *= x
-    np.copyto(index, m, casting="unsafe")
+    index = m.astype(np.intp)
     index &= PHASOR_TABLE - 1
-    out *= np.take(_TABLE, index, out=gather, mode="clip")  # in range: clip moves nothing
+    out *= _TABLE[index]
     return out
 
 
@@ -101,25 +92,18 @@ def _mode_stats(snapshots: np.ndarray, kmax: int):
     # (replica, checkpoint) go through the recurrence z^k = z^(k-1) * z in
     # blocks of about MODE_BLOCK angles, updated in place, so the phasors stay
     # in cache and no array of the full ensemble's size is allocated per mode.
-    # The block arrays are allocated once per call; a short last block uses
-    # their leading rows.
     R, T, N = snapshots.shape
     rows = snapshots.reshape(R * T, N)
     S = np.empty((kmax, R * T), dtype=complex)  # S[k-1] = sum_n z^k per row
     step = max(1, MODE_BLOCK // N)
-    shape = (min(step, R * T), N)
-    z, powers = np.empty(shape, dtype=complex), np.empty(shape, dtype=complex)
-    work = _phasor_work(shape)
     for r0 in range(0, R * T, step):
         block = rows[r0:r0 + step]
-        n = block.shape[0]
-        zb, pb = z[:n], powers[:n]
-        _phasors(block, zb, tuple(w[:n] for w in work))
-        np.copyto(pb, zb)
+        z = _phasors(block, np.empty(block.shape, dtype=complex))
+        powers = z.copy()
         for k in range(kmax):
             if k:
-                np.multiply(pb, zb, out=pb)
-            pb.sum(axis=-1, out=S[k, r0:r0 + step])
+                np.multiply(powers, z, out=powers)
+            powers.sum(axis=-1, out=S[k, r0:r0 + step])
     a = np.empty((R * T, kmax + 1), dtype=complex)
     b = np.empty((R * T, kmax + 1))
     a[:, 0] = 1.0

@@ -249,10 +249,12 @@ def _a6(seed: int, workers: int):
         checks.append(_check(f"|z| of mode {k} vs kinetic solution", z, "< 4", z < 4.0))
         details["abs_z"][str(k)] = float(z)
 
-    gain_dev = float(np.max(np.abs(bdg_gain(f0_grid, g).masses
+    gain_stats = {}
+    gain_dev = float(np.max(np.abs(bdg_gain(f0_grid, g, gain_stats).masses
                                    - _quadrature_gain(f0_grid, g))))
     checks.append(_check("gain vs quadrature reference at M=256", gain_dev,
                          "< 1e-08", gain_dev < 1e-8))
+    details["gain"] = gain_stats
 
     cfg_half = KineticConfig(dt=cfg.dt / 2)
     conv = float(np.max(np.abs(bdg_evolve(f0_grid, g, 0.5, cfg).masses

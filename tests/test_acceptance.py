@@ -39,3 +39,5 @@ def test_a6_does_not_run_a5(monkeypatch):
     report = run_scenario("A6", MASTER_SEED + 1, fresh=True)
     assert report.scenario == "A6"
     assert report.details["rate_factor"] == RATE_FACTOR
+    assert report.details["gain"]["clipped_cells"] == 0  # a smooth gain clips nothing
+    assert report.details["gain"]["min_pre_clip"] > 0.0

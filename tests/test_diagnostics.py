@@ -20,7 +20,6 @@ from pairjump.diagnostics import (
     chaos_distance,
     compare_flow,
     _mode_stats,
-    _phasor_work,
     _phasors,
     iid_chaos_mean,
     iid_chaos_samples,
@@ -66,7 +65,7 @@ def pair_stat_loops(snapshots, kmax):
 
 
 def table_phasors(theta):
-    return _phasors(theta, np.empty(np.shape(theta), dtype=complex), _phasor_work(np.shape(theta)))
+    return _phasors(theta, np.empty(np.shape(theta), dtype=complex))
 
 
 def exp_phasors(theta):
