@@ -7,7 +7,8 @@
 TOPIC names an entry of ``bench/topics.py``; its code runs on each checkout's
 ``src/``, every run in a fresh process, the side that runs first alternating.
 The output holds ``layers`` (per repeat), ``agreement`` (topics with outputs),
-``workloads`` (each side's ``perfbench/run.py --trace 0`` per seed), ``tier1``
+``workloads`` (each side's ``perfbench/run.py --trace 0`` per seed, and the
+seeds whose output digests differ between the sides), ``tier1``
 (each side's test suite, R times) and ``traced`` (one ``--trace 1`` run per
 side and workload, parent first). Each section is written to ``--out`` as soon
 as it finishes. ``--layers`` and ``--outputs`` are the per-process steps.
@@ -116,19 +117,28 @@ def compare_outputs(topic: str, sides: dict) -> dict:
 
 
 def _perfbench(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """One run's metrics, and under ``digest`` its round digests as printed."""
     out = _run([sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-                "--seconds", str(seconds), "--trace", str(trace)], root)
-    line = json.loads(out.splitlines()[-1])
+                "--seconds", str(seconds), "--trace", str(trace)], root).splitlines()
+    line = json.loads(out[-1])
     if not line["correct"] or line["failed"]:
         raise RuntimeError(f"{workload} seed {seed} failed its checks in {root}")
-    return {name: m["value"] for name, m in line["metrics"].items()}
+    digest = next(ln.split(maxsplit=1)[1] for ln in out if ln.startswith("digest "))
+    return {**{name: m["value"] for name, m in line["metrics"].items()}, "digest": digest}
 
 
 def compare_workloads(sides: dict, seeds, workloads, seconds: float) -> dict:
-    """``perfbench/run.py --trace 0`` end-to-end metrics per workload, sides alternating by seed."""
-    return {w: {"seeds": list(seeds), "metrics": _metrics(_alternated(
-                sides, seeds, lambda root, seed: _perfbench(root, w, seed, seconds, 0), w))}
-            for w in (workloads if seeds else ())}
+    """``perfbench/run.py --trace 0`` end-to-end metrics per workload, sides alternating by
+    seed, and the seeds whose parent and change output digests differ."""
+    result = {}
+    for w in workloads if seeds else ():
+        runs = _alternated(sides, seeds,
+                           lambda root, seed: _perfbench(root, w, seed, seconds, 0), w)
+        digests = {side: [r.pop("digest") for r in runs[side]] for side in runs}
+        result[w] = {"seeds": list(seeds), "metrics": _metrics(runs),
+                     "digests_differ": [seed for seed, p, c in zip(
+                         seeds, digests["parent"], digests["change"]) if p != c]}
+    return result
 
 
 def _tier1(root: Path) -> tuple:

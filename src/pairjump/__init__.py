@@ -41,7 +41,6 @@ from .kinetic import (
     KineticConfig,
     bdg_evolve,
     bdg_gain,
-    bdg_midpoint_pushforward,
     cl_evolve,
 )
 from .models import (
@@ -49,11 +48,7 @@ from .models import (
     EventLog,
     ModelSpec,
     SimulationResult,
-    bdg_pair_update,
-    cl_pair_update,
-    kac_pair_update,
     kac_state,
-    midpoint_angle,
     replay,
     replica_rng,
     sample_initial_chaotic,
@@ -64,7 +59,6 @@ from .models import (
 from .oracle import (
     JointDensity,
     TransitionMatrix,
-    apply_generator,
     build_transition,
     marginal,
     pair_difference_profile,

@@ -26,7 +26,6 @@ __all__ = [
     "CorrelationProfile",
     "pair_correlation_closed",
     "pair_correlation_series",
-    "series_terms_for",
     "gamma_from_noise",
     "limit_profile",
     "heat_kernel_family",

@@ -19,7 +19,8 @@ The grid solver deposits midpoint mass on the nearest cell; when the exact
 midpoint falls on a cell boundary (odd cell difference) the mass is split
 evenly between the two adjacent cells, which keeps the scheme translation
 invariant and free of directional drift. The antipodal tie takes the arc
-counterclockwise from the first argument, matching ``models.midpoint_angle``.
+counterclockwise from the first cell, matching the bdg update of the particle
+engines (``models._apply_events`` and ``models._advance``).
 ``bisector_tables`` states this rule per cell pair (for ``oracle`` and A6's
 O(M^3) gain quadrature); the solver sums it along diagonals of p x p, O(M^2)
 flops and O(M) memory per right-hand side, equal to the tables to rounding.
@@ -44,7 +45,6 @@ __all__ = [
     "KineticConfig",
     "bisector_tables",
     "cl_evolve",
-    "bdg_midpoint_pushforward",
     "bdg_gain",
     "bdg_evolve",
 ]
@@ -93,8 +93,8 @@ def bisector_tables(M: int):
     commute with the deposition and uniform stays exactly uniform) and free
     of the half-cell drift a one-sided rounding would inject.
 
-    Arc conventions match ``models.midpoint_angle``, including the antipodal
-    case (a quarter turn counterclockwise from the first cell).
+    Arc conventions match the particle engines' bdg update, including the
+    antipodal case (a quarter turn counterclockwise from the first cell).
 
     Used per pair by ``oracle`` and the O(M^3) gain quadrature (24 M^2 bytes);
     the solver applies the same rule by diagonal sums and builds no table.
@@ -128,12 +128,6 @@ def _pushforward_masses(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
 def _gain_masses(p: np.ndarray, gm_hat: np.ndarray) -> np.ndarray:
     # midpoint law of p x p convolved with the noise, whose rfft is gm_hat
     return np.fft.irfft(np.fft.rfft(_pushforward_masses(p, p)) * gm_hat, p.size)
-
-
-def bdg_midpoint_pushforward(f: GridDensity) -> GridDensity:
-    """Distribution of the pair midpoint when both angles are i.i.d. from f."""
-    masses = _pushforward_masses(f.masses, f.masses)
-    return GridDensity.from_unnormalized(masses * (f.M / TWO_PI))
 
 
 def bdg_gain(f: GridDensity, g: NoiseSpec, stats: dict | None = None) -> GridDensity:

@@ -5,7 +5,8 @@ pair is uniform over the N(N-1)/2 unordered pairs, and only the chosen pair
 changes state.
 
 * ``bdg``: both particles jump to the shorter-arc angular midpoint of the
-  pair, then each adds independent noise.
+  pair, then each adds independent noise. An antipodal pair i < j ties; its
+  midpoint is a quarter turn counterclockwise from particle i.
 * ``cl``: a fair coin picks a leader; the follower moves to the leader's
   angle plus noise, the leader keeps its angle.
 * ``kac``: state is a velocity vector on the energy sphere sum(v_i^2) = N;
@@ -59,10 +60,6 @@ __all__ = [
     "EventLog",
     "SimulationResult",
     "EnsembleResult",
-    "midpoint_angle",
-    "bdg_pair_update",
-    "cl_pair_update",
-    "kac_pair_update",
     "kac_state",
     "sample_kac_state",
     "sample_initial_chaotic",
@@ -132,43 +129,6 @@ class EnsembleResult:
     @property
     def n_replicas(self) -> int:
         return self.snapshots.shape[0]
-
-
-# ---------------------------------------------------------------------------
-# pair updates
-
-
-def midpoint_angle(vi: float, vj: float) -> float:
-    """Midpoint of the shorter arc between two angles.
-
-    For antipodal inputs the two arcs tie; the convention is vi + pi/2, i.e.
-    the midpoint of the arc running counterclockwise from vi. The map is
-    deterministic for every input, so near-antipodal pairs never need special
-    handling.
-    """
-    delta = (vj - vi) % TWO_PI
-    if delta <= np.pi:
-        return (vi + 0.5 * delta) % TWO_PI
-    return (vi + 0.5 * (delta - TWO_PI)) % TWO_PI
-
-
-def bdg_pair_update(vi, vj, wi, wj):
-    """Both particles move to the pair midpoint plus independent noise."""
-    vbar = midpoint_angle(vi, vj)
-    return (vbar + wi) % TWO_PI, (vbar + wj) % TWO_PI
-
-
-def cl_pair_update(vi, vj, b, z):
-    """Coin b = 1: i leads and j moves to vi + z; b = 0: j leads."""
-    if b:
-        return vi, (vi + z) % TWO_PI
-    return (vj + z) % TWO_PI, vj
-
-
-def kac_pair_update(vi, vj, theta):
-    """Rotate the velocity pair by theta; vi^2 + vj^2 is conserved."""
-    c, s = np.cos(theta), np.sin(theta)
-    return c * vi + s * vj, -s * vi + c * vj
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,6 @@ __all__ = [
     "build_transition",
     "stationary",
     "marginal",
-    "apply_generator",
     "pair_difference_profile",
 ]
 
@@ -281,11 +280,6 @@ def marginal(d: JointDensity, coords: Sequence[int]) -> np.ndarray:
     out = t.sum(axis=drop)
     kept = [a for a in range(d.n_particles) if a in coords]
     return np.transpose(out, [kept.index(c) for c in coords])
-
-
-def apply_generator(tm: TransitionMatrix, d: JointDensity) -> np.ndarray:
-    """Master-equation right-hand side N * (Q* d - d) as flat signed weights."""
-    return tm.n_particles * (tm.rmatvec(d.weights) - d.weights)
 
 
 def pair_difference_profile(pair_weights: np.ndarray) -> np.ndarray:

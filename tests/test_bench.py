@@ -76,3 +76,24 @@ def test_out_keeps_finished_sections_when_a_later_step_fails(tmp_path, monkeypat
     written = json.loads(out.read_text())
     assert written["layers"] == {"repeats": 1, "metrics": {}}
     assert "workloads" not in written
+
+
+def test_workloads_report_the_seeds_whose_digests_differ(monkeypatch):
+    # perfbench/run.py's output faked per checkout and seed: the change's
+    # digest differs from the parent's for seed 2 only
+    def fake_run(cmd, cwd=None):
+        seed = int(cmd[cmd.index("--seed") + 1])
+        digest = "d1" if cwd.name == "change" and seed == 2 else "d0"
+        metrics = {"wall_s": {"value": 1.0 + seed, "unit": "s"}}
+        return (f"workload x seed {seed} rounds 3 record r.json\n"
+                f"digest {digest} e{seed}\n"
+                + json.dumps({"correct": True, "attempted": 3, "failed": 0, "metrics": metrics}))
+
+    monkeypatch.setattr(compare, "_run", fake_run)
+    sides = {"parent": Path("parent"), "change": Path("change")}
+    got = compare.compare_workloads(sides, [1, 2, 3], ["ensemble", "chaos"], 1.0)
+    for w in ("ensemble", "chaos"):
+        assert got[w]["digests_differ"] == [2]
+        assert got[w]["seeds"] == [1, 2, 3]
+        assert list(got[w]["metrics"]) == ["wall_s"]
+        assert got[w]["metrics"]["wall_s"]["parent_runs"] == [2.0, 3.0, 4.0]

@@ -17,11 +17,9 @@ from pairjump.kinetic import (
     _pushforward_masses,
     bdg_evolve,
     bdg_gain,
-    bdg_midpoint_pushforward,
     bisector_tables,
     cl_evolve,
 )
-from pairjump.models import midpoint_angle
 from pairjump.verify import _quadrature_gain
 
 
@@ -34,6 +32,11 @@ def point_mass_noise(M):
     vals = np.zeros(M)
     vals[0] = M / TWO_PI
     return TabulatedNoise(vals)
+
+
+def vector_sum_angle(vi, vj):
+    """Shorter-arc bisector of two angles: the angle of their unit-vector sum."""
+    return np.arctan2(np.sin(vi) + np.sin(vj), np.cos(vi) + np.cos(vj)) % TWO_PI
 
 
 def rk4_mode_ode(c0, ghat, rate_factor, t, n_steps=10_000):
@@ -162,7 +165,7 @@ class TestBisectorTable:
         for i in range(M):
             for d in range(-M // 2 + 2, M // 2, 2):  # even differences: exact cells
                 j = (i + d) % M
-                mid = midpoint_angle(i * w, j * w)
+                mid = vector_sum_angle(i * w, j * w)
                 assert w_hi[i, j] == 0.0
                 assert lo[i, j] == int(round(mid / w)) % M
 
@@ -212,25 +215,23 @@ class TestPushforward:
 
     def test_point_mass_fixed(self):
         M = 32
-        vals = np.zeros(M)
-        vals[5] = M / TWO_PI
-        out = bdg_midpoint_pushforward(GridDensity(vals))
-        assert out.values[5] == pytest.approx(M / TWO_PI, rel=1e-12)
-        assert out.masses[5] == pytest.approx(1.0, abs=1e-12)
+        p = np.zeros(M)
+        p[5] = 1.0
+        out = _pushforward_masses(p, p)
+        assert out[5] == pytest.approx(1.0, abs=1e-12)
 
     def test_uniform_fixed(self):
         M = 64
-        out = bdg_midpoint_pushforward(GridDensity(np.full(M, 1.0 / TWO_PI)))
-        assert_allclose(out.values, 1.0 / TWO_PI, rtol=0, atol=1e-12)
+        p = np.full(M, 1.0 / M)
+        assert_allclose(_pushforward_masses(p, p), 1.0 / M, rtol=0, atol=1e-14)
 
     def test_two_point_masses(self):
         # equal masses at 0 and pi/2: ordered pairs (0,0), (q,q) keep their
         # cell, (0,q) and (q,0) meet at pi/4
         M = 16
-        vals = np.zeros(M)
-        vals[0] = vals[4] = 0.5 * M / TWO_PI
-        out = bdg_midpoint_pushforward(GridDensity(vals))
-        m = out.masses
+        p = np.zeros(M)
+        p[0] = p[4] = 0.5
+        m = _pushforward_masses(p, p)
         assert m[0] == pytest.approx(0.25, abs=1e-12)
         assert m[4] == pytest.approx(0.25, abs=1e-12)
         assert m[2] == pytest.approx(0.5, abs=1e-12)
@@ -238,9 +239,8 @@ class TestPushforward:
 
     def test_mass_one(self):
         rng = np.random.default_rng(0)
-        d = GridDensity.from_unnormalized(rng.random(128) + 0.01)
-        out = bdg_midpoint_pushforward(d)
-        assert out.masses.sum() == pytest.approx(1.0, abs=1e-12)
+        p = GridDensity.from_unnormalized(rng.random(128) + 0.01).masses
+        assert _pushforward_masses(p, p).sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_converges_to_spectral_law_like_inverse_m_squared(self):
         # the shorter-arc midpoint law of two i.i.d. angles has modes
@@ -250,8 +250,12 @@ class TestPushforward:
         p = np.arange(-60, 61)
         want = np.array([np.sum(f.fourier(p) * f.fourier(k - p) * np.sinc((k - 2 * p) / 2))
                          for k in range(-8, 9)])
-        err = {M: np.max(np.abs(fourier_coeffs(bdg_midpoint_pushforward(f.tabulate(M)),
-                                               8).coeffs - want))
+
+        def midpoint_law(M):
+            p = f.tabulate(M).masses
+            return GridDensity.from_unnormalized(_pushforward_masses(p, p))
+
+        err = {M: np.max(np.abs(fourier_coeffs(midpoint_law(M), 8).coeffs - want))
                for M in (256, 512)}
         assert 3.5 <= err[256] / err[512] <= 4.5
         assert err[512] < 5e-5
@@ -289,17 +293,15 @@ class TestGain:
         # with cross recovered from the pushforward of the half mixture
         M = 128
         rng = np.random.default_rng(3)
-        f1 = GridDensity.from_unnormalized(rng.random(M) + 0.1)
-        f2 = GridDensity.from_unnormalized(rng.random(M) + 0.1)
-        B11 = bdg_midpoint_pushforward(f1).values
-        B22 = bdg_midpoint_pushforward(f2).values
-        half = GridDensity(0.5 * (f1.values + f2.values))
-        cross = 4.0 * bdg_midpoint_pushforward(half).values - B11 - B22
+        p1 = GridDensity.from_unnormalized(rng.random(M) + 0.1).masses
+        p2 = GridDensity.from_unnormalized(rng.random(M) + 0.1).masses
+        push = lambda p: _pushforward_masses(p, p)  # noqa: E731
+        B11, B22 = push(p1), push(p2)
+        cross = 4.0 * push(0.5 * (p1 + p2)) - B11 - B22
         a = 0.3
-        mix = GridDensity(a * f1.values + (1 - a) * f2.values)
-        got = bdg_midpoint_pushforward(mix).values
+        got = push(a * p1 + (1 - a) * p2)
         want = a ** 2 * B11 + (1 - a) ** 2 * B22 + a * (1 - a) * cross
-        assert_allclose(got, want, rtol=0, atol=1e-10)
+        assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 class TestBdgEvolve:

@@ -15,11 +15,7 @@ from pairjump.models import (
     EVENT_BLOCK,
     EventLog,
     ModelSpec,
-    bdg_pair_update,
-    cl_pair_update,
-    kac_pair_update,
     kac_state,
-    midpoint_angle,
     replay,
     replica_rng,
     sample_initial_chaotic,
@@ -34,100 +30,122 @@ def vector_sum_angle(vi, vj):
     return np.arctan2(np.sin(vi) + np.sin(vj), np.cos(vi) + np.cos(vj)) % TWO_PI
 
 
+def arc_distance(a, b):
+    """Distance between two angles along the circle."""
+    return abs(wrap_angle(a - b + np.pi) - np.pi)
+
+
+def replay_one(kind, pair, d1, d2=None):
+    """Replay a one-event log on a two-particle state: the engine's pair rule."""
+    log = EventLog(np.array([1.0]), np.array([0]), np.array([1]), np.array([d1]),
+                   None if d2 is None else np.array([d2]))
+    return replay(ModelSpec(kind, UniformNoise()), np.asarray(pair, dtype=float), log)
+
+
 class TestMidpoint:
+    """bdg: both particles move to the shorter-arc midpoint, then add their noise."""
+
     @pytest.mark.parametrize("theta0", [0.0, 1.0, np.pi, 5.5])
     def test_aligned_pair_fixed(self, theta0):
-        assert bdg_pair_update(theta0, theta0, 0.0, 0.0) == (theta0, theta0)
+        assert np.array_equal(replay_one("bdg", [theta0, theta0], 0.0, 0.0), [theta0, theta0])
 
     def test_quarter_pair(self):
-        assert bdg_pair_update(0.0, np.pi / 2, 0.0, 0.0) == \
-            pytest.approx((np.pi / 4, np.pi / 4))
+        assert_allclose(replay_one("bdg", [0.0, np.pi / 2], 0.0, 0.0), [np.pi / 4] * 2,
+                        rtol=0, atol=1e-15)
 
     def test_additive_noise(self):
-        out = bdg_pair_update(0.0, np.pi / 2, 0.1, -0.1)
-        assert out[0] == pytest.approx(np.pi / 4 + 0.1, abs=1e-12)
-        assert out[1] == pytest.approx(np.pi / 4 - 0.1, abs=1e-12)
+        assert_allclose(replay_one("bdg", [0.0, np.pi / 2], 0.1, -0.1),
+                        [np.pi / 4 + 0.1, np.pi / 4 - 0.1], rtol=0, atol=1e-12)
 
     def test_matches_vector_sum(self):
         rng = np.random.default_rng(17)
         for _ in range(500):
             vi, vj = rng.random(2) * TWO_PI
-            if abs(wrap_angle(vi - vj + np.pi) - np.pi) < 1e-6:
+            if arc_distance(vi, vj + np.pi) < 1e-6:
                 continue
-            want = vector_sum_angle(vi, vj)
-            got = midpoint_angle(vi, vj)
-            assert abs(wrap_angle(got - want + np.pi) - np.pi) < 1e-10
+            out = replay_one("bdg", [vi, vj], 0.0, 0.0)
+            assert out[0] == out[1]
+            assert arc_distance(out[0], vector_sum_angle(vi, vj)) < 1e-10
 
     def test_shorter_arc_through_zero(self):
-        assert midpoint_angle(0.1, TWO_PI - 0.1) == pytest.approx(0.0, abs=1e-12)
+        out = replay_one("bdg", [0.1, TWO_PI - 0.1], 0.0, 0.0)
+        assert out[0] == out[1] and arc_distance(out[0], 0.0) < 1e-12
 
     def test_antipodal_convention(self):
-        # tie resolved a quarter turn counterclockwise from the first angle
-        assert midpoint_angle(0.0, np.pi) == pytest.approx(np.pi / 2)
-        assert midpoint_angle(np.pi, 0.0) == pytest.approx(3 * np.pi / 2)
+        # the two arcs tie; the midpoint is a quarter turn counterclockwise
+        # from particle i of the pair i < j
+        assert np.array_equal(replay_one("bdg", [0.0, np.pi], 0.0, 0.0), [np.pi / 2] * 2)
+        assert np.array_equal(replay_one("bdg", [np.pi, 0.0], 0.0, 0.0), [3 * np.pi / 2] * 2)
 
     def test_near_antipodal_never_crashes(self):
         for eps in (1e-13, -1e-13, 1e-15):
-            out = midpoint_angle(0.0, np.pi + eps)
-            assert np.isfinite(out) and 0.0 <= out < TWO_PI
+            out = replay_one("bdg", [0.0, np.pi + eps], 0.0, 0.0)
+            assert np.all(np.isfinite(out) & (0.0 <= out) & (out < TWO_PI))
 
 
 class TestCLUpdate:
+    """cl: coin d1 = 1 makes i the leader; the follower moves to leader + z."""
+
     def test_noiseless_follow(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             vi, vj = rng.random(2) * TWO_PI
-            assert cl_pair_update(vi, vj, 1, 0.0) == (vi, vi)
+            assert np.array_equal(replay_one("cl", [vi, vj], 1, 0.0), [vi, vi])
+            assert np.array_equal(replay_one("cl", [vi, vj], 0, 0.0), [vj, vj])
 
     def test_follower_copies_leader(self):
-        assert cl_pair_update(1.0, 2.0, 0, 0.3) == pytest.approx((2.3, 2.0))
+        assert_allclose(replay_one("cl", [1.0, 2.0], 0, 0.3), [2.3, 2.0], rtol=0, atol=1e-15)
+        assert_allclose(replay_one("cl", [1.0, 2.0], 1, 0.3), [1.0, 1.3], rtol=0, atol=1e-15)
 
     def test_leader_unchanged_exactly(self):
         rng = np.random.default_rng(4)
         for _ in range(100):
-            vi, vj, z = rng.random(3) * TWO_PI
+            pair = rng.random(2) * TWO_PI
+            z = rng.normal()
             b = int(rng.integers(2))
-            out = cl_pair_update(vi, vj, b, z)
-            if b == 1:
-                assert out[0] == vi
-            else:
-                assert out[1] == vj
+            leader, follower = (0, 1) if b == 1 else (1, 0)
+            out = replay_one("cl", pair, b, z)
+            assert out[leader] == pair[leader]
+            assert arc_distance(out[follower], pair[leader] + z) < 1e-12
 
     def test_fair_coin(self):
-        rng = np.random.default_rng(8)
-        n = 100_000
-        b = rng.integers(2, size=n)
-        follower_is_i = 0
-        for bb in b[:1000]:  # structural check on a slice, then count the rest
-            out = cl_pair_update(1.0, 2.0, int(bb), 0.3)
-            assert (out[1] == 2.0) == (bb == 0)
-        follower_is_i = np.count_nonzero(b == 0)
+        # the coins simulate draws and logs: 1 (i leads) with probability 1/2
+        model = ModelSpec("cl", WrappedNormalNoise(0.5))
+        rng = replica_rng(8, 0)
+        res = simulate(model, rng.random(10) * TWO_PI, 10_000.0, rng, record_events=True)
+        coins = res.events.d1
+        n = coins.size
+        assert n == res.n_events > 90_000
+        assert np.all((coins == 0) | (coins == 1))
         se = np.sqrt(0.25 / n)
-        assert abs(follower_is_i / n - 0.5) < 4 * se
+        assert abs(np.count_nonzero(coins) / n - 0.5) < 4 * se
 
 
 class TestKacUpdate:
+    """kac: the velocity pair is rotated by the angle d1."""
+
     def test_identity_rotation(self):
-        assert kac_pair_update(1.3, -0.7, 0.0) == (1.3, -0.7)
+        v = kac_state([1.3, -0.7])
+        assert np.array_equal(replay_one("kac", v, 0.0), v)
 
     def test_quarter_rotation(self):
-        out = kac_pair_update(1.0, 0.0, np.pi / 2)
-        assert out[0] == pytest.approx(0.0, abs=1e-15)
-        assert out[1] == pytest.approx(-1.0, abs=1e-15)
-
-    def test_energy_example(self):
-        vi, vj = kac_pair_update(1.3, -0.7, 0.9)
-        assert vi ** 2 + vj ** 2 == pytest.approx(2.18, abs=1e-14)
+        v = kac_state([1.0, 0.0])
+        assert_allclose(replay_one("kac", v, np.pi / 2), [0.0, -v[0]], rtol=0, atol=1e-15)
 
     def test_matches_rotation_matrix(self):
         rng = np.random.default_rng(9)
         for _ in range(200):
-            vi, vj = rng.normal(size=2)
+            v = kac_state(rng.normal(size=2))
             th = rng.random() * TWO_PI
             R = np.array([[np.cos(th), np.sin(th)],
                           [-np.sin(th), np.cos(th)]])
-            want = R @ np.array([vi, vj])
-            assert_allclose(kac_pair_update(vi, vj, th), want, rtol=0, atol=1e-15)
+            assert_allclose(replay_one("kac", v, th), R @ v, rtol=0, atol=1e-15)
+
+    def test_energy_example(self):
+        v = kac_state([1.3, -0.7])
+        out = replay_one("kac", v, 0.9)
+        assert out @ out == pytest.approx(2.0, abs=1e-14)
+        assert not np.allclose(out, v)
 
 
 class TestKacState:
@@ -395,13 +413,24 @@ def same_log(a, b):
         for x, y in zip(log_columns(a), log_columns(b)))
 
 
+def pair_rule(kind, vi, vj, d1, d2):
+    """The three pair rules on scalars: the reference both engines are checked against."""
+    if kind == "cl":  # coin d1 = 1: i leads and j moves to vi + d2
+        return (vi, (vi + d2) % TWO_PI) if d1 else ((vj + d2) % TWO_PI, vj)
+    if kind == "bdg":  # shorter-arc midpoint; the antipodal tie turns counterclockwise from vi
+        delta = (vj - vi) % TWO_PI
+        vbar = (vi + 0.5 * (delta if delta <= np.pi else delta - TWO_PI)) % TWO_PI
+        return (vbar + d1) % TWO_PI, (vbar + d2) % TWO_PI
+    c, s = np.cos(d1), np.sin(d1)
+    return c * vi + s * vj, -s * vi + c * vj
+
+
 def apply_pair_updates(model, x0, log):
-    """Apply an event log one event at a time with the public pair updates."""
-    update = {"cl": cl_pair_update, "bdg": bdg_pair_update, "kac": kac_pair_update}[model.kind]
+    """Apply an event log one event at a time with the scalar pair rules."""
     state = np.array(x0, dtype=float) if model.kind == "kac" else wrap_angle(x0)
-    draws = zip(log.d1.tolist()) if log.d2 is None else zip(log.d1.tolist(), log.d2.tolist())
-    for i, j, d in zip(log.i.tolist(), log.j.tolist(), draws):
-        state[i], state[j] = update(state[i], state[j], *d)
+    d2 = [None] * len(log) if log.d2 is None else log.d2.tolist()
+    for i, j, d in zip(log.i.tolist(), log.j.tolist(), zip(log.d1.tolist(), d2)):
+        state[i], state[j] = pair_rule(model.kind, state[i], state[j], *d)
     return state
 
 
@@ -410,8 +439,8 @@ def contract_v2_reference(model, n, t_end, checkpoints, seed, r, initial=None):
 
     The block draws become an EventLog (pairs decoded with triu_indices,
     which enumerates pairs in the same lexicographic order), and each
-    checkpoint row is the events at or before it applied with the public pair
-    updates. Returns the rows and the event log.
+    checkpoint row is the events at or before it applied with ``pair_rule``.
+    Returns the rows and the event log.
     """
     rng = replica_rng(seed, r)
     if initial is not None:
@@ -594,6 +623,18 @@ class TestFixedStart:
             assert np.array_equal(res.final_state, ens.snapshots[r, -1])
             assert np.array_equal(replay(model, x0, res.events), ens.snapshots[r, -1])
         assert not np.array_equal(ens.snapshots[0, -1], ens.snapshots[1, -1])
+
+    def test_antipodal_tie_in_the_lockstep_engine(self):
+        # an antipodal fixed start, checkpointed at the first event: the row is
+        # the tie's midpoint pi/2 (counterclockwise from particle i) plus the
+        # logged noise, bit for bit
+        model = ModelSpec("bdg", WrappedNormalNoise(0.3))
+        x0 = np.array([0.0, np.pi])
+        log = simulate(model, x0, 5.0, replica_rng(self.SEED, 0), record_events=True).events
+        assert len(log) > 1
+        ens = simulate_ensemble(model, 2, 5.0, [log.time[0]], 1, self.SEED, initial=x0)
+        want = [(np.pi / 2 + log.d1[0]) % TWO_PI, (np.pi / 2 + log.d2[0]) % TWO_PI]
+        assert np.array_equal(ens.snapshots[0, 0], want)
 
     @pytest.mark.parametrize("kind,bad", [
         ("cl", np.zeros(5)),                         # length 5, N = 6
