@@ -12,7 +12,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -52,6 +52,7 @@ class GridDensity:
     Values are density values (not masses); the midpoint rule
     (2*pi/M) * sum(values) must equal 1 within 1e-12 and all values must be
     nonnegative. M must be a power of two so grids nest under refinement.
+    ``TabulatedNoise`` is the even grid density used as jump noise.
     """
 
     values: np.ndarray
@@ -150,8 +151,10 @@ class FourierDensity:
 class NoiseSpec:
     """Even probability density on the circle used as jump noise.
 
-    Concrete specs provide closed-form coefficients ``fourier``, pointwise
+    The closed-form specs provide coefficients ``fourier``, pointwise
     ``density`` values, exact sampling, and a midpoint-rule ``tabulate``.
+    ``TabulatedNoise`` is a grid density instead: it has no ``density``, and
+    its ``tabulate`` takes exact cell masses.
     """
 
     def fourier(self, k):
@@ -249,38 +252,29 @@ class VonMisesNoise(NoiseSpec):
 
 
 @dataclass(frozen=True, eq=False)
-class TabulatedNoise(NoiseSpec):
-    """Even density given by values on the M-point grid (piecewise constant).
+class TabulatedNoise(GridDensity, NoiseSpec):
+    """Even grid density used as jump noise (piecewise constant).
 
-    The carrier density is constant on cells [theta_m - pi/M, theta_m + pi/M),
-    so its cell masses equal the grid masses exactly. ``fourier`` returns the
+    Values are normalized on construction; ``M``, ``masses`` and the sampling
+    table (built on the first draw) are the ``GridDensity`` ones. The carrier
+    density is constant on cells [theta_m - pi/M, theta_m + pi/M), so its
+    cell masses equal the grid masses, and ``tabulate`` on another grid
+    returns the carrier's exact cell masses there. ``fourier`` returns the
     grid (DFT) coefficients, consistent with ``fourier_coeffs``; the exact
     oracle and the closed forms use them.
 
-    ``sample`` draws from the piecewise-constant carrier, whose coefficients
-    are not the grid ones: E[exp(-i k X)] = fourier(k) * sinc(k / M), with
+    ``sample`` draws from the carrier, whose coefficients are not the grid
+    ones: E[exp(-i k X)] = fourier(k) * sinc(k / M), with
     sinc(x) = sin(pi x) / (pi x). A particle run with this noise therefore
     sees slightly weaker high modes than ``fourier`` reports.
     """
 
-    values: np.ndarray
-    _cum: np.ndarray = field(init=False, repr=False, compare=False)
-    _start: np.ndarray = field(init=False, repr=False, compare=False)
-
     def __post_init__(self):
-        grid = GridDensity.from_unnormalized(self.values)
-        v = grid.values
+        v = GridDensity.from_unnormalized(self.values).values
         even_defect = np.max(np.abs(v - v[(-np.arange(v.size)) % v.size]))
         if even_defect > 1e-9:
             raise ValueError(f"tabulated noise must be even; defect {even_defect:.3e}")
         object.__setattr__(self, "values", v)
-        cum, start = _cell_table(v)
-        object.__setattr__(self, "_cum", cum)
-        object.__setattr__(self, "_start", start)
-
-    @property
-    def M(self) -> int:
-        return self.values.size
 
     def fourier(self, k):
         k = np.asarray(k)
@@ -288,21 +282,22 @@ class TabulatedNoise(NoiseSpec):
         out = X[np.mod(k, self.M)].real
         return float(out) if out.ndim == 0 else out
 
-    def density(self, theta):
-        cells = np.mod(np.rint(np.asarray(theta) / (TWO_PI / self.M)).astype(int), self.M)
-        return self.values[cells]
-
     def sample(self, rng, size):
-        return _sample_cells(self.values, self._cum, self._start, rng, size)
+        # not through sample_grid_density, whose calls perfbench times as
+        # initial-state and floor draws: per-block noise draws are neither
+        return _sample_cells(self.values, *self._sampling_table, rng, size)
 
     def tabulate(self, M: int) -> GridDensity:
         if M == self.M:
             return GridDensity(self.values)
-        if M > self.M and M % self.M == 0:
-            return GridDensity(np.repeat(self.values, M // self.M))
-        if M < self.M and self.M % M == 0:
-            return GridDensity(self.values.reshape(M, self.M // M).mean(axis=1))
-        raise ValueError(f"cannot resample tabulated noise from M={self.M} to M={M}")
+        # the carrier's CDF is linear between the cell edges; extended by one
+        # period on each side, it is differenced at the edges of the new cells
+        n = self.M
+        cum = np.concatenate(([0.0], np.cumsum(self.masses)))
+        cdf = np.concatenate((cum[:-1] - cum[-1], cum[:-1], cum + cum[-1]))
+        edges = (np.arange(-n, 2 * n + 1) - 0.5) * (TWO_PI / n)
+        new_edges = (np.arange(M + 1) - 0.5) * (TWO_PI / M)
+        return GridDensity.from_unnormalized(np.diff(np.interp(new_edges, edges, cdf)))
 
 
 # ---------------------------------------------------------------------------

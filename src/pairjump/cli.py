@@ -137,8 +137,6 @@ def _check_modes(kmax, *laws):
 def _fmt(value) -> str:
     if isinstance(value, str):
         return value
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value))
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return "%.17g" % float(value)
@@ -324,7 +322,10 @@ def cmd_oracle(cfg, out: Path, config_hash: str, workers: int) -> int:
         raise ConfigError(f"config: {exc}") from exc
     t1 = time.perf_counter()
     solver = {}
-    dist = stationary(tm, tol=tol, stats=solver)
+    try:
+        dist = stationary(tm, tol=tol, stats=solver)
+    except RuntimeError as exc:  # the cap ran out: this tolerance is out of reach
+        raise ConfigError(f"config field 'tol': {exc}") from exc
     t2 = time.perf_counter()
 
     rows = []
@@ -381,19 +382,6 @@ COMMANDS = {
 }
 
 
-def _default_threads() -> int:
-    env = os.environ.get("PAIRJUMP_THREADS")
-    if env is not None:
-        try:
-            value = int(env)
-        except ValueError:
-            value = 0
-        if value >= 1:
-            return value
-        print(f"warning: ignoring invalid PAIRJUMP_THREADS={env!r}", file=sys.stderr)
-    return os.cpu_count() or 1
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="pairjump",
@@ -405,7 +393,7 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True, help="path to a JSON config")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--threads", type=int, default=None,
-                       help="worker count (default: PAIRJUMP_THREADS or CPU count)")
+                       help="worker count (default: CPU count)")
     args = parser.parse_args(argv)
 
     try:
@@ -422,7 +410,7 @@ def main(argv=None) -> int:
         print("error: config must be a JSON object", file=sys.stderr)
         return 2
 
-    workers = args.threads if args.threads is not None else _default_threads()
+    workers = args.threads if args.threads is not None else os.cpu_count() or 1
     if workers < 1:
         print("error: --threads must be >= 1", file=sys.stderr)
         return 2

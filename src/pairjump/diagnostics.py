@@ -28,7 +28,6 @@ exp-based evaluation, not bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -158,32 +157,24 @@ def _distance(pair: np.ndarray, ref: np.ndarray) -> float:
     return float(2.0 * np.sum((pair - ref) ** 2))
 
 
-def chaos_distance(summary: EnsembleSummary, f: FourierDensity,
-                   kmax: Optional[int] = None) -> float:
-    """Distance D between the last checkpoint's pair statistic and the product-law prediction."""
-    K = summary.kmax if kmax is None else kmax
-    if K < 1 or K > summary.kmax:
-        raise ValueError(f"kmax must be in 1..{summary.kmax}")
-    ref = _reference_pair_power(f, K)
-    return _distance(summary.pair[-1, 1:K + 1], ref[1:])
+def chaos_distance(summary: EnsembleSummary, f: FourierDensity) -> float:
+    """Distance D of the last checkpoint's pair statistic from the product law, k = 1..kmax."""
+    ref = _reference_pair_power(f, summary.kmax)
+    return _distance(summary.pair[-1, 1:], ref[1:])
 
 
-def compare_flow(summary: EnsembleSummary, kinetic_coeffs: np.ndarray,
-                 kmax: Optional[int] = None) -> np.ndarray:
-    """Standardized deviations z(t, k) = (f1 - kinetic) / SE for k = 0..kmax.
+def compare_flow(summary: EnsembleSummary, kinetic_coeffs: np.ndarray) -> np.ndarray:
+    """Standardized deviations z(t, k) = (f1 - kinetic) / SE for the summary's k = 0..kmax.
 
     kinetic_coeffs has shape (T, kmax+1) with the predicted fhat(k, t). At
     k = 0 both sides are 1 and z is set to 0. A zero standard error with a
     nonzero deviation yields inf, so it cannot pass unnoticed.
     """
-    K = summary.kmax if kmax is None else kmax
-    if K < 1 or K > summary.kmax:
-        raise ValueError(f"kmax must be in 1..{summary.kmax}")
     ref = np.asarray(kinetic_coeffs)
-    if ref.shape != (summary.times.size, K + 1):
-        raise ValueError(f"kinetic coefficients must have shape (T, {K + 1})")
-    dev = summary.f1[:, :K + 1] - ref
-    se = summary.f1_se[:, :K + 1]
+    if ref.shape != summary.f1.shape:
+        raise ValueError(f"kinetic coefficients must have shape (T, {summary.kmax + 1})")
+    dev = summary.f1 - ref
+    se = summary.f1_se
     z = np.zeros_like(dev)
     ok = se > 0.0
     z[ok] = dev[ok] / se[ok]

@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 from scipy import stats
 from scipy.special import ive
 
+from pairjump import circle
 from pairjump.circle import (
     GUIDE_SLOTS_PER_CELL,
     TWO_PI,
@@ -431,8 +432,8 @@ class TestGuideTable:
         steps = want - start[(u * start.size).astype(np.intp)]
         assert steps.min() >= 0 and steps.max() >= 10
         assert_matches_searchsorted(noise.values, u)
-        # TabulatedNoise.sample uses the table it built at construction
-        assert np.array_equal(noise._start, start)
+        # TabulatedNoise.sample uses the table of its grid density
+        assert np.array_equal(noise._sampling_table[1], start)
         x = noise.sample(np.random.default_rng(4), 200_000)
         assert x.tobytes() == searchsorted_cells(noise.values, u)[1].tobytes()
 
@@ -451,7 +452,7 @@ class TestGuideTable:
     def test_point_mass_draws_stay_in_cell_zero(self):
         noise = TabulatedNoise(np.r_[64 / TWO_PI, np.zeros(63)])
         u = np.array([0.0, 0.25, 0.5, 0.75, np.nextafter(1.0, 0.0)])
-        x = _sample_cells(noise.values, noise._cum, noise._start, FixedUniforms(u), 5)
+        x = _sample_cells(noise.values, *noise._sampling_table, FixedUniforms(u), 5)
         w = TWO_PI / 64
         assert np.all((x < w / 2) | (x >= TWO_PI - w / 2))
         assert np.all((x >= 0.0) & (x < TWO_PI))
@@ -467,3 +468,66 @@ class TestGuideTable:
         x = sample_grid_density(d, FixedUniforms(u), 2)
         # both sit at the top of cell 62, the last cell with mass
         assert_allclose(x, 62.5 * (TWO_PI / 64), rtol=0, atol=1e-12)
+
+
+def carrier_cell_masses(noise, M):
+    """Mass of the noise's piecewise-constant carrier in each cell of the
+    M-point grid, summed as overlap lengths cell by cell over three periods."""
+    h, H = TWO_PI / noise.M, TWO_PI / M
+    out = np.zeros(M)
+    for j in range(M):
+        a, b = (j - 0.5) * H, (j + 0.5) * H
+        for m in range(-noise.M, 2 * noise.M):
+            lo, hi = (m - 0.5) * h, (m + 0.5) * h
+            out[j] += noise.values[m % noise.M] * max(0.0, min(b, hi) - max(a, lo))
+    return out
+
+
+class TestTabulatedNoise:
+    def test_is_a_grid_density_with_nothing_of_its_own(self):
+        assert issubclass(TabulatedNoise, GridDensity)
+        assert issubclass(TabulatedNoise, circle.NoiseSpec)
+        for name in ("_cum", "_start", "density", "M", "_sampling_table"):
+            assert name not in vars(TabulatedNoise)
+
+    def test_table_is_built_on_the_first_draw_and_reused(self):
+        noise = wrapped_normal_table(0.5, 64)
+        assert "_sampling_table" not in vars(noise)
+        noise.sample(np.random.default_rng(0), 10)
+        table = vars(noise)["_sampling_table"]
+        noise.sample(np.random.default_rng(1), 10)
+        assert noise._sampling_table is table
+
+    def test_sample_equals_sample_grid_density(self):
+        noise = wrapped_normal_table(0.3, 64)
+        x = noise.sample(np.random.default_rng(5), (3, 1000))
+        y = sample_grid_density(noise, np.random.default_rng(5), (3, 1000))
+        assert x.tobytes() == y.tobytes()
+
+    def test_sample_does_not_go_through_sample_grid_density(self, monkeypatch):
+        # per-block noise draws must not appear as sample_grid_density calls
+        def refuse(*args, **kwargs):
+            raise AssertionError("TabulatedNoise.sample called sample_grid_density")
+
+        monkeypatch.setattr(circle, "sample_grid_density", refuse)
+        x = wrapped_normal_table(0.5, 16).sample(np.random.default_rng(2), 100)
+        assert x.shape == (100,)
+
+    @pytest.mark.parametrize("noise, M", [
+        (wrapped_normal_table(0.3, 16), 64),
+        (wrapped_normal_table(0.3, 64), 16),
+        (wrapped_normal_table(0.3, 16), 256),
+        (wrapped_normal_table(0.3, 64), 2),
+        (TabulatedNoise(np.r_[4 / TWO_PI, np.zeros(3)]), 16),
+    ], ids=["16-64", "64-16", "16-256", "64-2", "point-mass-4-16"])
+    def test_other_grid_takes_exact_cell_masses(self, noise, M):
+        d = noise.tabulate(M)
+        assert d.M == M
+        assert_allclose(d.masses, carrier_cell_masses(noise, M), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("M", [4, 64, 256, 1024])
+    def test_other_grid_is_even_and_centred(self, M):
+        d = wrapped_normal_table(0.3, 16).tabulate(M)
+        p = d.masses
+        assert np.max(np.abs(p - p[(-np.arange(M)) % M])) < 1e-15
+        assert abs(np.angle(np.sum(p * np.exp(1j * d.theta)))) < 1e-15

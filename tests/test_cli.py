@@ -1,5 +1,6 @@
 """End-to-end tests of the command line driver."""
 
+import functools
 import hashlib
 import json
 import math
@@ -7,8 +8,8 @@ import math
 import numpy as np
 import pytest
 
-from pairjump import __version__
-from pairjump.circle import UniformNoise, WrappedNormalNoise
+from pairjump import __version__, oracle
+from pairjump.circle import UniformNoise, VonMisesNoise, WrappedNormalNoise
 from pairjump.cli import main
 from pairjump.kinetic import KineticConfig, bdg_evolve
 from pairjump.models import EnsembleResult, ModelSpec, simulate_ensemble
@@ -239,12 +240,6 @@ class TestSimulate:
         assert rc != 0
         assert "initial" in capsys.readouterr().err
 
-    def test_env_var_sets_default_threads(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("PAIRJUMP_THREADS", "1")
-        cfg = write_config(tmp_path, "sim.json", simulate_config())
-        assert main(["simulate", "--config", str(cfg),
-                     "--out", str(tmp_path / "o")]) == 0
-
     def test_bad_json_and_missing_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -279,6 +274,19 @@ class TestKinetic:
         assert by_key[(0.0, 1)] == math.exp(-0.25)
         assert by_key[(1.0, 1)] == math.exp(-0.25) * math.exp(-1.0)
         assert by_key[(1.0, 0)] == 1.0
+
+    def test_von_mises_noise_rows_match_closed_form(self, tmp_path):
+        cfg = write_config(tmp_path, "kin.json", {
+            "model": "cl", "noise": {"kind": "von_mises", "param": 2.0},
+            "initial": {"kind": "wrapped_normal", "param": 0.5},
+            "t_end": 1.0, "checkpoints": [0.0, 0.5, 1.0], "K": 3})
+        out = tmp_path / "out"
+        assert main(["kinetic", "--config", str(cfg), "--out", str(out),
+                     "--threads", "1"]) == 0
+        rows = [ln.split(",") for ln in (out / "kinetic.csv").read_text().splitlines()[2:]]
+        mode1 = {float(t): float(v) for t, k, v in rows if k == "1"}
+        f1, g1 = WrappedNormalNoise(0.5).fourier(1), VonMisesNoise(2.0).fourier(1)
+        assert mode1 == {t: f1 * math.exp((g1 - 1.0) * t) for t in (0.0, 0.5, 1.0)}
 
     def test_grid_rows_conserve_mass(self, tmp_path):
         cfg = write_config(tmp_path, "kin.json", {
@@ -491,6 +499,19 @@ class TestOracle:
         assert main(["oracle", "--config", str(cfg),
                      "--out", str(tmp_path / "o"), "--threads", "1"]) == 2
         assert "marginals[1]" in capsys.readouterr().err
+
+    def test_unreachable_tol_is_refused_naming_field(self, tmp_path, capsys, monkeypatch):
+        # the gap stalls near 1e-16, so the cap runs out (50 iterations here)
+        monkeypatch.setattr("pairjump.cli.stationary",
+                            functools.partial(oracle.stationary, max_iter=50))
+        cfg = write_config(tmp_path, "orc.json", {
+            "model": "cl", "n_particles": 3, "M": 8,
+            "noise": {"kind": "wrapped_normal", "param": 0.5}, "tol": 1e-300})
+        out = tmp_path / "o"
+        assert main(["oracle", "--config", str(cfg), "--out", str(out),
+                     "--threads", "1"]) == 2
+        assert "config field 'tol'" in capsys.readouterr().err
+        assert not (out / "oracle.csv").exists()
 
 
 class TestNonFiniteConfig:

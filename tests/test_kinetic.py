@@ -11,6 +11,7 @@ from pairjump.circle import (
     WrappedNormalNoise,
     fourier_coeffs,
 )
+from pairjump.diagnostics import summarize
 from pairjump.kinetic import (
     RATE_FACTOR,
     KineticConfig,
@@ -20,6 +21,7 @@ from pairjump.kinetic import (
     bisector_tables,
     cl_evolve,
 )
+from pairjump.models import ModelSpec, simulate_ensemble
 from pairjump.verify import _quadrature_gain
 
 
@@ -361,6 +363,18 @@ class TestBdgEvolve:
         bisector_tables.cache_clear()
         bdg_evolve(WrappedNormalNoise(0.3).tabulate(512), WrappedNormalNoise(0.2), 0.1, self.CFG)
         assert bisector_tables.cache_info().misses == 0
+
+    def test_coarse_tabulated_noise_matches_particles(self):
+        # A6's shape with a 16-cell noise on the 256-cell solver grid: the
+        # solver must see the carrier the particles draw from, not a shifted law
+        g = TabulatedNoise(WrappedNormalNoise(0.3).tabulate(16).values)
+        f0 = WrappedNormalNoise(0.5)
+        ens = simulate_ensemble(ModelSpec("bdg", g), 2000, 0.5, [0.5], 200, 1,
+                                initial=f0, workers=1)
+        s = summarize(ens, kmax=2)
+        f_kin = fourier_coeffs(bdg_evolve(f0.tabulate(256), g, 0.5, self.CFG), 2)
+        for k in (1, 2):
+            assert abs(s.f1[0, k] - f_kin.coeff(k)) / s.f1_se[0, k] < 4.0
 
 
 class TestBdgStats:
