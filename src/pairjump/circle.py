@@ -337,18 +337,26 @@ def _guide_cells(cum, start, u):
     return idx.reshape(u.shape)
 
 
+def _cell_fractions(values, cum, start, u):
+    """Cells and in-cell fractions of uniforms u under the inverse CDF of the cell masses.
+
+    The cells come from the guide table (``_guide_cells``) and equal
+    ``searchsorted(cum, u, "right")`` index for index; a draw's angle is
+    (cell - 1/2 + fraction) * 2 pi / M.
+    """
+    idx = _guide_cells(cum, start, u)
+    lo = np.concatenate(([0.0], cum))[idx]
+    return idx, (u - lo) / (values * (TWO_PI / values.size))[idx]
+
+
 def _sample_cells(values, cum, start, rng, size):
     """Inverse-CDF draws over cells centered at theta_m, uniform within each cell.
 
-    Takes one ``rng.random(size)``. The cells come from the guide table
-    (``_guide_cells``) and equal ``searchsorted(cum, u, "right")`` index for
-    index, so the angles are those of a binary search, bit for bit.
+    Takes one ``rng.random(size)``. The cells and fractions come from
+    ``_cell_fractions``, so the angles are those of a binary search, bit for bit.
     """
     M = values.size
-    u = rng.random(size)
-    idx = _guide_cells(cum, start, u)
-    lo = np.concatenate(([0.0], cum))[idx]
-    frac = (u - lo) / (values[idx] * (TWO_PI / M))
+    idx, frac = _cell_fractions(values, cum, start, rng.random(size))
     theta = (idx - 0.5 + frac) * (TWO_PI / M)
     # the remainder leaves [0, 2*pi) unchanged, so apply it only outside;
     # finite angles fall below 0 only in cell 0

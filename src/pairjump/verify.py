@@ -26,7 +26,13 @@ from .circle import (
     WrappedNormalNoise,
     fourier_coeffs,
 )
-from .diagnostics import chaos_distance, compare_flow, iid_chaos_samples, summarize
+from .diagnostics import (
+    chaos_distance,
+    compare_flow,
+    iid_chaos_mean,
+    iid_chaos_samples,
+    summarize,
+)
 from .invariant import heat_kernel_family, pair_correlation_closed, pair_correlation_series
 from .kinetic import RATE_FACTOR, KineticConfig, bdg_evolve, bdg_gain, bisector_tables, cl_evolve
 from .models import ModelSpec, replica_rng, sample_kac_state, simulate, simulate_ensemble
@@ -176,7 +182,9 @@ def _a4(seed: int, workers: int):
         _check("D(800) vs i.i.d. noise-floor 99th percentile", dvals[800],
                f"< {p99:.3e}", dvals[800] < p99),
     ]
-    details = {"D": {str(n): dvals[n] for n in dvals}, "floor_p99": p99}
+    details = {"D": {str(n): dvals[n] for n in dvals}, "floor_p99": p99,
+               "floor_mean": float(floor.mean()),
+               "floor_mean_exact": iid_chaos_mean(f_ref, 800, 400, kmax)}
     return checks, details
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from pairjump import diagnostics
 from pairjump.circle import (
     TWO_PI,
     FourierDensity,
@@ -21,6 +22,8 @@ from pairjump.diagnostics import (
     compare_flow,
     _mode_stats,
     _phasors,
+    _rotate,
+    _turn_table,
     iid_chaos_mean,
     iid_chaos_samples,
     summarize,
@@ -89,21 +92,38 @@ def plain_mode_stats(snapshots, kmax, phasors=table_phasors):
     return a, b
 
 
-def searchsorted_floor(f, n_particles, n_replicas, kmax, n_boot, rng, phasors=table_phasors):
-    """The i.i.d. floor written out with a binary-search sampler and
-    ``plain_mode_stats``, the plain form of ``iid_chaos_samples``."""
-    grid = density_from_coeffs(f, max(FLOOR_GRID, 2 * f.K + 2))
-    w = TWO_PI / grid.M
+def cell_phasors(cells, frac, M):
+    """exp(-i theta) of theta = (cell - 1/2 + frac) h, h = 2 pi / M, written out as
+    the floor forms it: the turn table's T[cell] times the Taylor polynomials
+    of cos x and -sin x at x = (frac - 1/2) h."""
+    x = (frac - 0.5) * (TWO_PI / M)
+    x2 = x * x
+    rot = np.empty(x.shape, dtype=complex)
+    rot.real = ((x2 * (1.0 / 24.0)) - 0.5) * x2 + 1.0
+    rot.imag = (((x2 * (-1.0 / 120.0)) + 1.0 / 6.0) * x2 - 1.0) * x
+    rot *= _turn_table(M)[cells]  # in place: numpy's out-of-place loop may round differently
+    return rot
+
+
+def exp_cell_phasors(cells, frac, M):
+    w = TWO_PI / M
+    return np.exp(-1j * ((cells - 0.5 + frac) * w % TWO_PI))
+
+
+def searchsorted_floor(f, n_particles, n_replicas, kmax, n_boot, rng, phasors=cell_phasors):
+    """The i.i.d. floor written out with a binary-search sampler, one array per
+    draw and ``plain_mode_stats``, the plain form of ``iid_chaos_samples``."""
+    grid = density_from_coeffs(f, 1 << (max(FLOOR_GRID, 2 * f.K + 2) - 1).bit_length())
     cum = np.cumsum(grid.masses)
     cum[-1] = 1.0
     ref = (np.abs(f.coeffs[f.K:f.K + kmax + 1]) ** 2)[1:]
     out = np.empty(n_boot)
     for bi in range(n_boot):
-        u = rng.random((n_replicas, 1, n_particles))
-        idx = np.searchsorted(cum, u, side="right")
-        lo = np.concatenate(([0.0], cum))[idx]
-        theta = (idx - 0.5 + (u - lo) / (grid.values[idx] * w)) * w % TWO_PI
-        _, b = plain_mode_stats(theta, kmax, phasors)
+        u = rng.random((n_replicas, n_particles))
+        cells = np.searchsorted(cum, u, side="right")
+        lo = np.concatenate(([0.0], cum))[cells]
+        z = phasors(cells, (u - lo) / grid.masses[cells], grid.M)
+        _, b = plain_mode_stats(z[:, None, :], kmax, lambda z: z)
         out[bi] = float(2.0 * np.sum((b[:, 0, 1:].mean(axis=0) - ref) ** 2))
     return out
 
@@ -320,8 +340,58 @@ class TestSampleDraws:
         want = searchsorted_floor(f, n_particles, n_replicas, kmax, 4, np.random.default_rng(5))
         assert got.tobytes() == want.tobytes()
         by_exp = searchsorted_floor(f, n_particles, n_replicas, kmax, 4,
-                                    np.random.default_rng(5), exp_phasors)
+                                    np.random.default_rng(5), exp_cell_phasors)
         assert np.max(np.abs(got - by_exp) / by_exp) <= 1e-11
+
+    @pytest.mark.parametrize("n_particles,n_replicas", [(30, 20), (800, 41)])
+    def test_floor_takes_one_uniform_per_angle(self, n_particles, n_replicas):
+        f = wn_reference(1.0, 16)
+        rng, plain = np.random.default_rng(6), np.random.default_rng(6)
+        iid_chaos_samples(f, n_particles, n_replicas, 8, 3, rng)
+        plain.random(3 * n_replicas * n_particles)
+        assert rng.random(4).tobytes() == plain.random(4).tobytes()
+
+    @pytest.mark.parametrize("n_particles,n_replicas", [(30, 20), (800, 41)])
+    def test_floor_does_not_depend_on_the_block_size(self, n_particles, n_replicas, monkeypatch):
+        f = wn_reference(1.0, 16)
+        want = iid_chaos_samples(f, n_particles, n_replicas, 8, 3, np.random.default_rng(7))
+        monkeypatch.setattr(diagnostics, "MODE_BLOCK", 1000)
+        got = iid_chaos_samples(f, n_particles, n_replicas, 8, 3, np.random.default_rng(7))
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("M", [512, 2048])
+    def test_cell_phasors_within_4_ulp_of_extended_precision(self, M):
+        rng = np.random.default_rng(M)
+        # random draws, then both edges of every cell
+        cells = np.concatenate((rng.integers(0, M, 1 << 16), np.arange(M), np.arange(M)))
+        frac = np.concatenate((rng.random(1 << 16), np.zeros(M), np.full(M, 1.0)))
+        x = (frac - 0.5) * (TWO_PI / M)
+        got = _rotate(cells, x, _turn_table(M), np.empty(x.shape, dtype=complex))
+        pi = 4 * np.arctan(np.longdouble(1))
+        theta = (cells - np.longdouble(0.5) + frac) * (2 * pi / M)
+        err = np.hypot(got.real - np.cos(theta), got.imag + np.sin(theta))
+        assert float(err.max()) <= 8.9e-16
+
+    def test_floor_grid_of_many_modes_is_a_power_of_two(self):
+        # K = 300 needs M >= 602 cells; the floor takes 1024
+        f = wn_reference(1e-3, 300)
+        assert diagnostics._floor_grid(f).M == 1024
+        assert diagnostics._floor_grid(wn_reference(1.0, 16)).M == FLOOR_GRID
+        draws = iid_chaos_samples(f, 50, 40, 300, 40, np.random.default_rng(8))
+        z = (draws.mean() - iid_chaos_mean(f, 50, 40, 300)) / (draws.std(ddof=1) / math.sqrt(40))
+        assert np.all(draws > 0.0) and abs(z) <= 3.0
+
+    @pytest.mark.parametrize("n_particles,n_replicas,kmax,match", [
+        (1, 10, 4, "n_particles"), (10, 0, 4, "n_replicas"), (10, 10, 0, "kmax")])
+    def test_meaningless_floor_is_refused(self, n_particles, n_replicas, kmax, match):
+        f = wn_reference(1.0, 8)
+        rng = np.random.default_rng(9)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=match):
+            iid_chaos_samples(f, n_particles, n_replicas, kmax, 3, rng)
+        with pytest.raises(ValueError, match=match):
+            iid_chaos_mean(f, n_particles, n_replicas, kmax)
+        assert rng.bit_generator.state == state
 
 
 class TestFloorMean:
