@@ -82,8 +82,10 @@ def scalar_layers(src: Path) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# floor: sampling and mode statistics of one A4-shaped i.i.d. draw, and the
-# whole A4 floor, whose digest shows whether both sides return the same bytes
+# phasors: the mode statistics' exp(-i theta). The per-draw figures time
+# ``summarize``'s kernel ``_mode_stats`` on an A4-shaped array of angles; the
+# A4 floor, which forms its phasors from grid cells, is timed whole; then
+# ``summarize`` at perfbench's ``ensemble`` shape.
 
 DRAW_SHAPE = (400, 1, 800)  # A4: 400 replicas of N = 800, one checkpoint
 ENSEMBLE_SHAPE = (100, 2, 2000)  # perfbench ensemble: R = 100, 2 checkpoints, N = 2000
@@ -97,7 +99,8 @@ def _setup(src: Path):
     sys.path.insert(0, str(src))
     from pairjump import circle, diagnostics, kinetic, models, verify
 
-    f_ref = kinetic.cl_evolve(verify._wn_fourier(0.5, KMAX), circle.WrappedNormalNoise(0.5), 1.0)
+    g = circle.WrappedNormalNoise(0.5)
+    f_ref = kinetic.cl_evolve(circle.FourierDensity(g.fourier(np.arange(-KMAX, KMAX + 1))), g, 1.0)
     grid = circle.density_from_coeffs(f_ref, diagnostics.FLOOR_GRID)
     ensemble = models.EnsembleResult(
         times=np.array([0.25, 0.5]),
@@ -109,35 +112,6 @@ def _setup(src: Path):
 def _floor(diagnostics, verify, f_ref):
     return diagnostics.iid_chaos_samples(f_ref, DRAW_SHAPE[2], DRAW_SHAPE[0], KMAX, FLOOR_DRAWS,
                                          np.random.default_rng([verify.MASTER_SEED, 4]))
-
-
-def floor_layers(src: Path) -> dict:
-    """Per-draw and whole-floor times for the pairjump in src, at A4's settings."""
-    circle, diagnostics, verify, f_ref, grid, _ = _setup(src)
-    rng = np.random.default_rng(2026)
-    circle.sample_grid_density(grid, rng, DRAW_SHAPE)  # warm-up
-    sample, modes = [], []
-    for _ in range(TIMED_CALLS):
-        t = time.perf_counter()
-        x = circle.sample_grid_density(grid, rng, DRAW_SHAPE)
-        sample.append(time.perf_counter() - t)
-        t = time.perf_counter()
-        diagnostics._mode_stats(x, KMAX)
-        modes.append(time.perf_counter() - t)
-
-    t = time.perf_counter()
-    floor = _floor(diagnostics, verify, f_ref)
-    floor_s = time.perf_counter() - t
-    return {"sample_ms.a4_draw": 1e3 * float(np.median(sample)),
-            "mode_stats_ms.a4_draw": 1e3 * float(np.median(modes)),
-            "floor_s.a4": floor_s,
-            "floor_sha256.a4": hashlib.sha256(floor.tobytes()).hexdigest()}
-
-
-# ---------------------------------------------------------------------------
-# phasors: the mode statistics' exp(-i theta): ``_mode_stats`` per A4 draw, the
-# A4 floor and ``summarize`` at perfbench's ``ensemble`` shape. A side without
-# ``_phasors`` saves ``np.exp(-1j * theta)``, what its ``_mode_stats`` computes.
 
 
 def phasors_layers(src: Path) -> dict:
@@ -168,10 +142,7 @@ def phasors_outputs(src: Path, npz: Path) -> None:
     h = circle.TWO_PI / 1024
     theta = np.concatenate((np.random.default_rng(1).uniform(0.0, circle.TWO_PI, 1 << 16),
                             np.arange(1024) * h, (np.arange(1024) + 0.5) * h))
-    if hasattr(diagnostics, "_phasors"):
-        phasors = diagnostics._phasors(theta, np.empty(theta.shape, dtype=complex))
-    else:
-        phasors = np.exp(-1j * theta)
+    phasors = diagnostics._phasors(theta, np.empty(theta.shape, dtype=complex))
     a, b = diagnostics._mode_stats(
         circle.sample_grid_density(grid, np.random.default_rng(2026), DRAW_SHAPE), KMAX)
     s = diagnostics.summarize(ensemble, kmax=KMAX)
@@ -379,7 +350,6 @@ def startup_layers(src: Path) -> dict:
 # topic: (layers, outputs or None)
 TOPICS = {
     "scalar": (scalar_layers, None),
-    "floor": (floor_layers, None),
     "deposition": (deposition_layers, deposition_outputs),
     "phasors": (phasors_layers, phasors_outputs),
     "snapshots": (snapshots_layers, None),

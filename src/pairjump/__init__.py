@@ -17,7 +17,6 @@ from .circle import (
     WrappedNormalNoise,
     density_from_coeffs,
     fourier_coeffs,
-    heat_kernel_spec,
     sample_grid_density,
     wrap_angle,
 )

@@ -30,10 +30,10 @@ __all__ = [
     "sample_grid_density",
     "fourier_coeffs",
     "density_from_coeffs",
-    "heat_kernel_spec",
 ]
 
 TWO_PI = 2.0 * np.pi
+GUIDE_SLOTS_PER_CELL = 16
 
 
 def wrap_angle(theta):
@@ -51,8 +51,15 @@ class GridDensity:
 
     Values are density values (not masses); the midpoint rule
     (2*pi/M) * sum(values) must equal 1 within 1e-12 and all values must be
-    nonnegative. M must be a power of two so grids nest under refinement.
+    nonnegative. M must be a power of two: the sampler's guide table then
+    has exact slot arithmetic (u * G and j / G for G = 16 M slots), and the
+    i.i.d. chaos floor's quarter-turn phasor table needs M divisible by 4.
     ``TabulatedNoise`` is the even grid density used as jump noise.
+
+    ``sample`` draws from the piecewise-constant carrier, the density that
+    is constant on each cell [theta_m - pi/M, theta_m + pi/M): cells come
+    from the inverse CDF of the cell masses through a guide table (Chen and
+    Asau 1974) built on the first draw and kept, uniform within each cell.
     """
 
     values: np.ndarray
@@ -95,8 +102,50 @@ class GridDensity:
 
     @cached_property
     def _sampling_table(self):
-        # built on the first draw and kept, so repeated draws share it
-        return _cell_table(self.values)
+        """Cumulative cell masses and their guide table of G = 16 M slots.
+
+        start[j] is the first cell whose cumulative mass exceeds j/G, i.e.
+        searchsorted(cum, j/G, "right"). Built on the first draw and kept, so
+        repeated draws share it.
+        """
+        cum = np.cumsum(self.masses)
+        cum[np.flatnonzero(self.values)[-1]:] = 1.0  # no u < 1 picks a trailing empty cell
+        G = GUIDE_SLOTS_PER_CELL * self.M
+        return cum, np.searchsorted(cum, np.arange(G) / G, side="right")
+
+    def _cells(self, u: np.ndarray):
+        """Cells and in-cell fractions of uniforms u under the inverse CDF of the cell masses.
+
+        Slot j = floor(u*G) gives start[j], then each index steps forward
+        while cum[idx] <= u. M and G are powers of two, so u*G and j/G are
+        exact and start[j] never lies past the answer: for u in [0, 1) the
+        cells equal ``searchsorted(cum, u, "right")`` index for index. Most u
+        need no step at all. A draw's angle is (cell - 1/2 + fraction) 2 pi / M.
+        """
+        cum, start = self._sampling_table
+        flat = u.reshape(-1)
+        idx = start[(flat * start.size).astype(np.intp)]
+        late = np.flatnonzero(cum[idx] <= flat)
+        while late.size:
+            idx[late] += 1
+            late = late[cum[idx[late]] <= flat[late]]
+        idx = idx.reshape(u.shape)
+        lo = np.concatenate(([0.0], cum))[idx]
+        return idx, (u - lo) / self.masses[idx]
+
+    def sample(self, rng: np.random.Generator, size):
+        """Angles from the carrier, from one ``rng.random(size)``.
+
+        The cells come from ``_cells``, so the angles are those of a binary
+        search, bit for bit.
+        """
+        idx, frac = self._cells(rng.random(size))
+        theta = (idx - 0.5 + frac) * (TWO_PI / self.M)
+        # the remainder leaves [0, 2*pi) unchanged, so apply it only outside;
+        # finite angles fall below 0 only in cell 0
+        outside = ~((theta >= 0.0) & (theta < TWO_PI))
+        np.remainder(theta, TWO_PI, out=theta, where=outside)
+        return theta
 
 
 @dataclass(frozen=True, eq=False)
@@ -255,13 +304,12 @@ class VonMisesNoise(NoiseSpec):
 class TabulatedNoise(GridDensity, NoiseSpec):
     """Even grid density used as jump noise (piecewise constant).
 
-    Values are normalized on construction; ``M``, ``masses`` and the sampling
-    table (built on the first draw) are the ``GridDensity`` ones. The carrier
-    density is constant on cells [theta_m - pi/M, theta_m + pi/M), so its
-    cell masses equal the grid masses, and ``tabulate`` on another grid
-    returns the carrier's exact cell masses there. ``fourier`` returns the
-    grid (DFT) coefficients, consistent with ``fourier_coeffs``; the exact
-    oracle and the closed forms use them.
+    Values are normalized on construction; ``M``, ``masses`` and ``sample``
+    are the ``GridDensity`` ones. The carrier's cell masses equal the grid
+    masses, and ``tabulate`` on another grid returns the carrier's exact
+    cell masses there. ``fourier`` returns the grid (DFT) coefficients,
+    consistent with ``fourier_coeffs``; the exact oracle and the closed forms
+    use them.
 
     ``sample`` draws from the carrier, whose coefficients are not the grid
     ones: E[exp(-i k X)] = fourier(k) * sinc(k / M), with
@@ -282,11 +330,6 @@ class TabulatedNoise(GridDensity, NoiseSpec):
         out = X[np.mod(k, self.M)].real
         return float(out) if out.ndim == 0 else out
 
-    def sample(self, rng, size):
-        # not through sample_grid_density, whose calls perfbench times as
-        # initial-state and floor draws: per-block noise draws are neither
-        return _sample_cells(self.values, *self._sampling_table, rng, size)
-
     def tabulate(self, M: int) -> GridDensity:
         if M == self.M:
             return GridDensity(self.values)
@@ -304,75 +347,9 @@ class TabulatedNoise(GridDensity, NoiseSpec):
 # operations
 
 
-GUIDE_SLOTS_PER_CELL = 16
-
-
-def _cell_table(values):
-    """Cumulative cell masses of a grid density and their guide table.
-
-    The guide table of Chen and Asau (1974) has G = 16*M slots; start[j] is
-    the first cell whose cumulative mass exceeds j/G, i.e.
-    searchsorted(cum, j/G, "right").
-    """
-    cum = np.cumsum(values * (TWO_PI / values.size))
-    cum[np.flatnonzero(values)[-1]:] = 1.0  # no u < 1 picks a trailing empty cell
-    G = GUIDE_SLOTS_PER_CELL * values.size
-    return cum, np.searchsorted(cum, np.arange(G) / G, side="right")
-
-
-def _guide_cells(cum, start, u):
-    """``np.searchsorted(cum, u, side="right")`` through the guide table.
-
-    Slot j = floor(u*G) gives start[j], then each index steps forward while
-    cum[idx] <= u. M and G are powers of two, so u*G and j/G are exact and
-    start[j] never lies past the answer: for u in [0, 1) the cells equal
-    searchsorted's index for index. Most u need no step at all.
-    """
-    flat = u.reshape(-1)
-    idx = start[(flat * start.size).astype(np.intp)]
-    late = np.flatnonzero(cum[idx] <= flat)
-    while late.size:
-        idx[late] += 1
-        late = late[cum[idx[late]] <= flat[late]]
-    return idx.reshape(u.shape)
-
-
-def _cell_fractions(values, cum, start, u):
-    """Cells and in-cell fractions of uniforms u under the inverse CDF of the cell masses.
-
-    The cells come from the guide table (``_guide_cells``) and equal
-    ``searchsorted(cum, u, "right")`` index for index; a draw's angle is
-    (cell - 1/2 + fraction) * 2 pi / M.
-    """
-    idx = _guide_cells(cum, start, u)
-    lo = np.concatenate(([0.0], cum))[idx]
-    return idx, (u - lo) / (values * (TWO_PI / values.size))[idx]
-
-
-def _sample_cells(values, cum, start, rng, size):
-    """Inverse-CDF draws over cells centered at theta_m, uniform within each cell.
-
-    Takes one ``rng.random(size)``. The cells and fractions come from
-    ``_cell_fractions``, so the angles are those of a binary search, bit for bit.
-    """
-    M = values.size
-    idx, frac = _cell_fractions(values, cum, start, rng.random(size))
-    theta = (idx - 0.5 + frac) * (TWO_PI / M)
-    # the remainder leaves [0, 2*pi) unchanged, so apply it only outside;
-    # finite angles fall below 0 only in cell 0
-    outside = ~((theta >= 0.0) & (theta < TWO_PI))
-    np.remainder(theta, TWO_PI, out=theta, where=outside)
-    return theta
-
-
 def sample_grid_density(d: GridDensity, rng: np.random.Generator, size):
-    """Draw angles from the piecewise-constant carrier of a grid density.
-
-    Cells come from the inverse CDF of the cell masses through a guide table
-    (Chen and Asau 1974) that ``d`` builds on its first draw and keeps; they
-    equal ``np.searchsorted(cum, u, side="right")`` index for index.
-    """
-    return _sample_cells(d.values, *d._sampling_table, rng, size)
+    """Angles from the piecewise-constant carrier of d: ``d.sample(rng, size)``."""
+    return d.sample(rng, size)
 
 
 def fourier_coeffs(d: GridDensity, K: int) -> FourierDensity:
@@ -417,9 +394,3 @@ def density_from_coeffs(f: FourierDensity, M: int) -> GridDensity:
     vals = np.clip(vals, 0.0, None)
     return GridDensity.from_unnormalized(vals)
 
-
-def heat_kernel_spec(t: float) -> WrappedNormalNoise:
-    """Heat kernel at time t > 0 as a noise spec: ghat(k) = exp(-k^2 t)."""
-    if t <= 0.0:
-        raise ValueError("heat kernel time must be positive")
-    return WrappedNormalNoise(sigma2=2.0 * t)

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circle import TWO_PI, FourierDensity, _cell_fractions, density_from_coeffs
+from .circle import TWO_PI, FourierDensity, density_from_coeffs
 from .models import EnsembleResult
 
 __all__ = [
@@ -255,7 +255,6 @@ def iid_chaos_samples(f: FourierDensity, n_particles: int, n_replicas: int, kmax
     N, R = n_particles, n_replicas
     ref = _reference_pair_power(f, kmax)[1:]
     grid = _floor_grid(f)
-    values, (cum, start) = grid.values, grid._sampling_table
     table, h = _turn_table(grid.M), TWO_PI / grid.M
     S = np.empty((kmax, R), dtype=complex)
     step = max(1, MODE_BLOCK // N)
@@ -263,7 +262,7 @@ def iid_chaos_samples(f: FourierDensity, n_particles: int, n_replicas: int, kmax
     for bi in range(n_boot):
         for r0 in range(0, R, step):
             rows = min(step, R - r0)
-            cells, x = _cell_fractions(values, cum, start, rng.random(rows * N))
+            cells, x = grid._cells(rng.random(rows * N))
             x -= 0.5  # the in-cell fraction u becomes x = (u - 1/2) h
             x *= h
             z = _rotate(cells, x, table, np.empty(x.shape, dtype=complex))

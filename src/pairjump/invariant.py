@@ -20,7 +20,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .circle import NoiseSpec, heat_kernel_spec
+from .circle import NoiseSpec, WrappedNormalNoise
 
 __all__ = [
     "CorrelationProfile",
@@ -136,5 +136,11 @@ def limit_profile(gamma: np.ndarray) -> CorrelationProfile:
 
 
 def heat_kernel_family(n_particles: int) -> NoiseSpec:
-    """Noise family ghat_N(k) = exp(-k^2/N) whose limit profile is Lorentzian."""
-    return heat_kernel_spec(1.0 / n_particles)
+    """Noise family ghat_N(k) = exp(-k^2/N) whose limit profile is Lorentzian.
+
+    Its member is the heat kernel at time 1/N, a wrapped normal with variance
+    parameter 2/N; n_particles < 1 raises ``ValueError``.
+    """
+    if n_particles < 1:
+        raise ValueError("n_particles must be >= 1")
+    return WrappedNormalNoise(sigma2=2.0 / n_particles)

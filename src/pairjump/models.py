@@ -53,7 +53,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .circle import TWO_PI, GridDensity, NoiseSpec, sample_grid_density, wrap_angle
+from .circle import TWO_PI, GridDensity, NoiseSpec, UniformNoise, wrap_angle
 
 __all__ = [
     "ModelSpec",
@@ -156,11 +156,9 @@ def sample_initial_chaotic(f: Union[GridDensity, NoiseSpec], n_particles: int,
     """N i.i.d. angles from f: the chaotic (product) initial condition."""
     if n_particles < 1:
         raise ValueError("n_particles must be >= 1")
-    if isinstance(f, GridDensity):
-        return sample_grid_density(f, rng, n_particles)
-    if isinstance(f, NoiseSpec):
-        return np.asarray(f.sample(rng, n_particles))
-    raise ValueError("initial law must be a GridDensity or NoiseSpec")
+    if not isinstance(f, (GridDensity, NoiseSpec)):
+        raise ValueError("initial law must be a GridDensity or NoiseSpec")
+    return np.asarray(f.sample(rng, n_particles))
 
 
 def replica_rng(master_seed: int, replica: int) -> np.random.Generator:
@@ -333,11 +331,9 @@ def _apply_events(kind, state, table, e0, e1):
 def _draw_initial(model: ModelSpec, initial, n_particles: int, rng) -> np.ndarray:
     if isinstance(initial, np.ndarray):  # a checked fixed start draws nothing
         return initial
-    if initial is None:
-        if model.kind == "kac":
-            return sample_kac_state(n_particles, rng)
-        return rng.random(n_particles) * TWO_PI
-    return sample_initial_chaotic(initial, n_particles, rng)
+    if initial is None and model.kind == "kac":
+        return sample_kac_state(n_particles, rng)
+    return sample_initial_chaotic(UniformNoise() if initial is None else initial, n_particles, rng)
 
 
 def simulate_ensemble(model: ModelSpec, n_particles: int, t_end: float,

@@ -16,10 +16,6 @@ from pairjump.circle import (
     WrappedNormalNoise,
     density_from_coeffs,
     fourier_coeffs,
-    heat_kernel_spec,
-    _cell_table,
-    _guide_cells,
-    _sample_cells,
     sample_grid_density,
     wrap_angle,
 )
@@ -198,17 +194,6 @@ class TestNoiseFourier:
         assert np.all(np.abs(ghat) <= 1.0 + 1e-10)
         assert_allclose(ghat, np.asarray(g.fourier(-k), dtype=float),
                         rtol=0, atol=1e-10)
-
-    def test_heat_kernel_spec(self):
-        t = 0.05
-        g = heat_kernel_spec(t)
-        c = fourier_coeffs(g.tabulate(512), 16)
-        k = np.arange(-16, 17)
-        assert_allclose(c.coeffs, np.exp(-k ** 2 * t), rtol=0, atol=1e-9)
-
-    def test_heat_kernel_requires_positive_time(self):
-        with pytest.raises(ValueError):
-            heat_kernel_spec(0.0)
 
     def test_wrapped_normal_requires_positive_variance(self):
         with pytest.raises(ValueError):
@@ -397,12 +382,11 @@ def edge_uniforms(cum):
     return u[u < 1.0]
 
 
-def assert_matches_searchsorted(values, u):
+def assert_matches_searchsorted(d, u):
     """The guide table's cells and the sampler's angles equal binary search's."""
-    cum, start = _cell_table(values)
-    want_idx, want_theta = searchsorted_cells(values, u)
-    assert np.array_equal(_guide_cells(cum, start, u), want_idx)
-    theta = _sample_cells(values, cum, start, FixedUniforms(u), u.shape)
+    want_idx, want_theta = searchsorted_cells(d.values, u)
+    assert np.array_equal(d._cells(u)[0], want_idx)
+    theta = d.sample(FixedUniforms(u), u.shape)
     assert theta.tobytes() == want_theta.tobytes()
 
 
@@ -419,28 +403,26 @@ class TestGuideTable:
         TabulatedNoise(np.ones(2)),
     ], ids=["wn05-64", "wn001-512", "point-mass", "zero-mass-cells", "M2"])
     def test_edges_match_searchsorted(self, noise):
-        cum, _ = _cell_table(noise.values)
-        assert_matches_searchsorted(noise.values, edge_uniforms(cum))
+        cum, _ = noise._sampling_table
+        assert_matches_searchsorted(noise, edge_uniforms(cum))
 
     def test_peaked_noise_steps_across_shared_slots(self):
         # wrapped normal 0.01 on 512 cells: the tail cells are so light that
         # dozens share one slot, so many lookups take several steps
         noise = wrapped_normal_table(0.01, 512)
-        cum, start = _cell_table(noise.values)
+        _, start = noise._sampling_table
         u = np.random.default_rng(4).random(200_000)
         want, _ = searchsorted_cells(noise.values, u)
         steps = want - start[(u * start.size).astype(np.intp)]
         assert steps.min() >= 0 and steps.max() >= 10
-        assert_matches_searchsorted(noise.values, u)
-        # TabulatedNoise.sample uses the table of its grid density
-        assert np.array_equal(noise._sampling_table[1], start)
+        assert_matches_searchsorted(noise, u)
         x = noise.sample(np.random.default_rng(4), 200_000)
         assert x.tobytes() == searchsorted_cells(noise.values, u)[1].tobytes()
 
     def test_floor_shape_matches_searchsorted(self):
         d = GridDensity.from_unnormalized(np.exp(np.cos(np.arange(512) * (TWO_PI / 512))))
         u = np.random.default_rng(23).random((400, 1, 800))
-        assert_matches_searchsorted(d.values, u)
+        assert_matches_searchsorted(d, u)
         x = sample_grid_density(d, np.random.default_rng(23), (400, 1, 800))
         assert x.shape == (400, 1, 800)
         assert x.tobytes() == searchsorted_cells(d.values, u)[1].tobytes()
@@ -452,7 +434,7 @@ class TestGuideTable:
     def test_point_mass_draws_stay_in_cell_zero(self):
         noise = TabulatedNoise(np.r_[64 / TWO_PI, np.zeros(63)])
         u = np.array([0.0, 0.25, 0.5, 0.75, np.nextafter(1.0, 0.0)])
-        x = _sample_cells(noise.values, *noise._sampling_table, FixedUniforms(u), 5)
+        x = noise.sample(FixedUniforms(u), 5)
         w = TWO_PI / 64
         assert np.all((x < w / 2) | (x >= TWO_PI - w / 2))
         assert np.all((x >= 0.0) & (x < TWO_PI))
@@ -487,7 +469,7 @@ class TestTabulatedNoise:
     def test_is_a_grid_density_with_nothing_of_its_own(self):
         assert issubclass(TabulatedNoise, GridDensity)
         assert issubclass(TabulatedNoise, circle.NoiseSpec)
-        for name in ("_cum", "_start", "density", "M", "_sampling_table"):
+        for name in ("_cum", "_start", "density", "M", "_sampling_table", "_cells", "sample"):
             assert name not in vars(TabulatedNoise)
 
     def test_table_is_built_on_the_first_draw_and_reused(self):

@@ -11,6 +11,7 @@ from pairjump.circle import (
     TabulatedNoise,
     UniformNoise,
     WrappedNormalNoise,
+    fourier_coeffs,
 )
 from pairjump.invariant import (
     CorrelationProfile,
@@ -202,6 +203,20 @@ class TestGamma:
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
             gamma_from_noise(heat_kernel_family, 2, 4)
+
+
+class TestHeatKernelFamily:
+    def test_member_is_the_heat_kernel_at_time_one_over_n(self):
+        # the member at N = 20 is the heat kernel at time t = 1/20
+        g = heat_kernel_family(20)
+        c = fourier_coeffs(g.tabulate(512), 16)
+        k = np.arange(-16, 17)
+        assert_allclose(c.coeffs, np.exp(-k ** 2 / 20), rtol=0, atol=1e-9)
+
+    def test_refuses_fewer_than_one_particle(self):
+        for n in (0, -3):
+            with pytest.raises(ValueError, match="n_particles"):
+                heat_kernel_family(n)
 
 
 class TestLimitProfile:
