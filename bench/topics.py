@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import resource
 import subprocess
 import sys
 import tempfile
@@ -84,8 +85,9 @@ def scalar_layers(src: Path) -> dict:
 # ---------------------------------------------------------------------------
 # phasors: the mode statistics' exp(-i theta). The per-draw figures time
 # ``summarize``'s kernel ``_mode_stats`` on an A4-shaped array of angles; the
-# A4 floor, which forms its phasors from grid cells, is timed whole; then
-# ``summarize`` at perfbench's ``ensemble`` shape.
+# A4 floor, which forms its phasors from grid cells, is timed whole, with the
+# minor page faults it takes (its speed follows how long its block temporaries
+# live); then ``summarize`` at perfbench's ``ensemble`` shape.
 
 DRAW_SHAPE = (400, 1, 800)  # A4: 400 replicas of N = 800, one checkpoint
 ENSEMBLE_SHAPE = (100, 2, 2000)  # perfbench ensemble: R = 100, 2 checkpoints, N = 2000
@@ -115,7 +117,8 @@ def _floor(diagnostics, verify, f_ref):
 
 
 def phasors_layers(src: Path) -> dict:
-    """Per-draw mode statistics, the whole floor and summarize for the pairjump in src."""
+    """Per-draw mode statistics, the whole floor (seconds and minor page faults) and
+    summarize for the pairjump in src."""
     circle, diagnostics, verify, f_ref, grid, ensemble = _setup(src)
     rng = np.random.default_rng(2026)
     diagnostics._mode_stats(circle.sample_grid_density(grid, rng, DRAW_SHAPE), KMAX)  # warm-up
@@ -126,13 +129,16 @@ def phasors_layers(src: Path) -> dict:
         diagnostics._mode_stats(x, KMAX)
         modes.append(time.perf_counter() - t)
 
+    minflt = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     t = time.perf_counter()
     _floor(diagnostics, verify, f_ref)
     floor_s = time.perf_counter() - t
+    minflt = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - minflt
 
     summ = _median_time(lambda: diagnostics.summarize(ensemble, kmax=KMAX), TIMED_CALLS)
     return {"mode_stats_ms.a4_draw": 1e3 * float(np.median(modes)),
             "floor_s.a4": floor_s,
+            "floor_minflt.a4": minflt,
             "summarize_ms.ensemble": 1e3 * summ}
 
 

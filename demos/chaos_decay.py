@@ -9,6 +9,7 @@ is the finite-size footprint of propagation of chaos.
 import numpy as np
 
 from pairjump import (
+    FourierDensity,
     ModelSpec,
     WrappedNormalNoise,
     chaos_distance,
@@ -25,11 +26,8 @@ KMAX = 16
 
 
 def reference_density(t):
-    k = np.arange(-KMAX, KMAX + 1)
-    f0 = np.exp(-k**2 * VAR / 2).astype(complex)
-    from pairjump import FourierDensity
-
-    return cl_evolve(FourierDensity(f0), WrappedNormalNoise(VAR), t)
+    g = WrappedNormalNoise(VAR)
+    return cl_evolve(FourierDensity(g.fourier(np.arange(-KMAX, KMAX + 1))), g, t)
 
 
 def main():

@@ -28,7 +28,7 @@ def main():
         cells = "".join(f"  {profiles[n].coeff(k):<10.6f}" for n in sizes)
         print(f"{k:>3}{cells}  {1.0 / (1.0 + k * k):<.6f}")
 
-    gamma = gamma_from_noise(heat_kernel_family, 10_000, K)
+    gamma = gamma_from_noise(heat_kernel_family(10_000), 10_000, K)
     lorentz = limit_profile(gamma)
     print()
     print("plug-in limit from gamma_N at N=1e4:",

@@ -282,11 +282,7 @@ class VonMisesNoise(NoiseSpec):
     def fourier(self, k):
         from scipy.special import ive  # here, not at module level: only von Mises needs scipy
 
-        k = np.abs(np.asarray(k))
-        if self.kappa == 0.0:
-            out = np.where(k == 0, 1.0, 0.0)
-        else:
-            out = ive(k, self.kappa) / ive(0, self.kappa)
+        out = ive(np.abs(np.asarray(k)), self.kappa) / ive(0, self.kappa)
         return float(out) if out.ndim == 0 else out
 
     def density(self, theta):

@@ -280,14 +280,15 @@ def cmd_invariant(cfg, out: Path, config_hash: str, workers: int) -> int:
     if family_name is not None:
         if family_name != "heat_kernel":
             raise ConfigError(f"config field 'family': unknown family {family_name!r}")
-        family = heat_kernel_family
+        if "noise" in cfg:
+            raise ConfigError("config field 'noise': give 'family' or 'noise', not both")
+        noise = heat_kernel_family(n)
     else:
         noise = _noise_from(cfg, "noise")
         _check_modes(kmax, noise)
-        family = lambda _n: noise  # noqa: E731 - fixed noise for every N
 
-    closed = pair_correlation_closed(family(n), n, kmax)
-    gamma = gamma_from_noise(family, n, kmax)
+    closed = pair_correlation_closed(noise, n, kmax)
+    gamma = gamma_from_noise(noise, n, kmax)
     lim = limit_profile(np.minimum(gamma, 0.0))
     rows = [(k, closed.fhat[k], lim.fhat[k], gamma[k]) for k in range(kmax + 1)]
     _write_csv(out / "invariant.csv", config_hash,

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -36,13 +36,11 @@ __all__ = [
 class CorrelationProfile:
     """Real even pair-correlation coefficients Fhat(k), stored for k = 0..K.
 
-    n_particles is the particle count the profile was computed for, or
-    math.inf for the scaling limit. Exact profiles have Fhat(0) = 1; a
-    truncated series may fall short of that by its tail bound.
+    Exact profiles have Fhat(0) = 1; a truncated series may fall short of
+    that by its tail bound.
     """
 
     fhat: np.ndarray
-    n_particles: float
 
     def __post_init__(self):
         v = np.array(self.fhat, dtype=float)
@@ -72,7 +70,7 @@ def pair_correlation_closed(g: NoiseSpec, n_particles: int, K: int) -> Correlati
     ghat = np.asarray(g.fourier(np.arange(K + 1)), dtype=float)
     r = (n_particles - 2.0) / (n_particles - 1.0)
     fhat = ghat / ((n_particles - 1.0) * (1.0 - r * ghat))
-    return CorrelationProfile(fhat=fhat, n_particles=float(n_particles))
+    return CorrelationProfile(fhat=fhat)
 
 
 def series_terms_for(n_particles: int, tol: float) -> int:
@@ -116,14 +114,15 @@ def pair_correlation_series(g: NoiseSpec, n_particles: int, K: int,
         term = term * base
         acc += term
     bound = ((n_particles - 1.0) / (n_particles - 2.0)) * r ** (L + 1)
-    return CorrelationProfile(fhat=acc / (n_particles - 2.0), n_particles=float(n_particles)), bound
+    return CorrelationProfile(fhat=acc / (n_particles - 2.0)), bound
 
 
-def gamma_from_noise(g_family: Callable[[int], NoiseSpec], n_particles: int, K: int) -> np.ndarray:
-    """Scaled coefficient defect gamma_N(k) = (N - 2) * (ghat_N(k) - 1), k = 0..K."""
+def gamma_from_noise(g: NoiseSpec, n_particles: int, K: int) -> np.ndarray:
+    """Scaled coefficient defect gamma_N(k) = (N - 2) * (ghat_N(k) - 1), k = 0..K,
+    of the noise g used at N particles."""
     if n_particles < 3:
         raise ValueError("n_particles must be >= 3")
-    ghat = np.asarray(g_family(n_particles).fourier(np.arange(K + 1)), dtype=float)
+    ghat = np.asarray(g.fourier(np.arange(K + 1)), dtype=float)
     return (n_particles - 2.0) * (ghat - 1.0)
 
 
@@ -132,7 +131,7 @@ def limit_profile(gamma: np.ndarray) -> CorrelationProfile:
     gamma = np.asarray(gamma, dtype=float)
     if np.any(gamma > 0.0):
         raise ValueError("gamma must be nonpositive")
-    return CorrelationProfile(fhat=1.0 / (1.0 - gamma), n_particles=math.inf)
+    return CorrelationProfile(fhat=1.0 / (1.0 - gamma))
 
 
 def heat_kernel_family(n_particles: int) -> NoiseSpec:

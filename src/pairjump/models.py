@@ -238,7 +238,7 @@ def simulate(model: ModelSpec, initial, t_end: float, rng: np.random.Generator,
         np.cumsum(times, out=times)
         kept = int(np.count_nonzero(times <= t_end))
         drawn = _draw_block(model, offsets, n_pairs, rng)
-        _apply_events(model.kind, state, _update_table(model.kind, *drawn), 0, kept)
+        _apply_events(model.kind, state, _update_table(model.kind, *drawn), kept)
         n_events += kept
 
         if record_events:
@@ -270,7 +270,7 @@ def replay(model: ModelSpec, initial, events: EventLog) -> np.ndarray:
         d2 = None if events.d2 is None else events.d2[block]
         table = _update_table(model.kind, events.i[block], events.j[block],
                               events.d1[block], d2)
-        _apply_events(model.kind, state, table, 0, EVENT_BLOCK)
+        _apply_events(model.kind, state, table, EVENT_BLOCK)
     return np.array(state)
 
 
@@ -302,14 +302,14 @@ def _update_table(kind, i, j, d1, d2):
     return i, j, d1, d2
 
 
-def _apply_events(kind, state, table, e0, e1):
-    """Apply events e0..e1-1 of an update table to a state held as a list.
+def _apply_events(kind, state, table, n):
+    """Apply the first n events of an update table to a state held as a list.
 
     The arithmetic is ``_advance``'s, operation for operation, on Python
     floats; every operation is correctly rounded (or ``%``) in both, so the
     scalar and the vectorised engine agree bit for bit.
     """
-    a, b, va, vb = (None if col is None else col[e0:e1].tolist() for col in table)
+    a, b, va, vb = (None if col is None else col[:n].tolist() for col in table)
     two_pi, pi = TWO_PI, np.pi
     if kind == "cl":
         for ia, ib, z in zip(a, b, va):

@@ -48,6 +48,7 @@ __all__ = [
 # entries left after merging, plus one block of rows), so about 0.35 GB.
 ENTRY_CAP = 2 ** 25
 BLOCK_ENTRIES = 2 ** 18  # entries assembled per block of rows, over all pairs
+MAX_POWER_ITERATIONS = 1_000_000  # stationary's cap; a tol it cannot reach raises
 
 
 @dataclass(eq=False)
@@ -111,11 +112,6 @@ class JointDensity:
         """Weights reshaped to one axis per particle; axis c is coordinate c."""
         M, N = self.grid_size, self.n_particles
         return self.weights.reshape((M,) * N, order="F")
-
-    @classmethod
-    def uniform(cls, n_particles: int, grid_size: int) -> "JointDensity":
-        S = grid_size ** n_particles
-        return cls(n_particles, grid_size, np.full(S, 1.0 / S))
 
     @classmethod
     def product(cls, n_particles: int, cell_masses: np.ndarray) -> "JointDensity":
@@ -235,28 +231,18 @@ def build_transition(model: ModelSpec, n_particles: int, grid_size: int) -> Tran
 
 
 def stationary(tm: TransitionMatrix, tol: float = 1e-12,
-               max_iter: int = 1_000_000, start: np.ndarray = None,
                stats: dict | None = None) -> JointDensity:
-    """Stationary law by power iteration (from uniform, or from ``start``).
+    """Stationary law by power iteration from the uniform law.
 
     Stops when successive iterates differ by less than tol in L1 norm; at
-    return the residual ||Q*F - F||_1 is below tol. Raises if the iteration
-    cap is hit first. Sets ``power_iterations`` and ``final_gap`` (the last
-    L1 difference) in ``stats``, if given.
+    return the residual ||Q*F - F||_1 is below tol. Raises if
+    MAX_POWER_ITERATIONS run out first. Sets ``power_iterations`` and
+    ``final_gap`` (the last L1 difference) in ``stats``, if given.
     """
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    if start is None:
-        d = np.full(tm.n_states, 1.0 / tm.n_states)
-    else:
-        d = np.asarray(start, dtype=float)
-        if (d.shape != (tm.n_states,) or not np.isfinite(d).all() or d.min() < 0.0
-                or d.sum() <= 0.0):
-            raise ValueError("start must be a finite nonnegative vector on the state space")
-        d = d / d.sum()
-    for it in range(1, max_iter + 1):
+    d = np.full(tm.n_states, 1.0 / tm.n_states)
+    for it in range(1, MAX_POWER_ITERATIONS + 1):
         d_next = tm.rmatvec(d)
         d_next /= d_next.sum()
         gap = np.abs(d_next - d).sum()

@@ -243,7 +243,8 @@ def _a6(seed: int, workers: int):
                             initial=f0, workers=workers)
     s = summarize(ens, kmax=2)
     f0_grid = f0.tabulate(256)
-    f_kin = fourier_coeffs(bdg_evolve(f0_grid, g, 0.5, cfg), 2)
+    sol = bdg_evolve(f0_grid, g, 0.5, cfg)
+    f_kin = fourier_coeffs(sol, 2)
 
     checks = []
     details = {"rate_factor": RATE_FACTOR, "abs_z": {}}
@@ -260,8 +261,7 @@ def _a6(seed: int, workers: int):
     details["gain"] = gain_stats
 
     cfg_half = KineticConfig(dt=cfg.dt / 2)
-    conv = float(np.max(np.abs(bdg_evolve(f0_grid, g, 0.5, cfg).masses
-                               - bdg_evolve(f0_grid, g, 0.5, cfg_half).masses)))
+    conv = float(np.max(np.abs(sol.masses - bdg_evolve(f0_grid, g, 0.5, cfg_half).masses)))
     checks.append(_check("self-convergence under dt halving", conv,
                          "< 1e-06", conv < 1e-6))
     return checks, details

@@ -1,6 +1,5 @@
 """End-to-end tests of the command line driver."""
 
-import functools
 import hashlib
 import json
 import math
@@ -422,6 +421,17 @@ class TestInvariant:
                      "--threads", "1"]) == 0
         assert len(csv_rows(out / "invariant.csv")) == 4
 
+    def test_refuses_family_together_with_noise(self, tmp_path, capsys):
+        # either noise alone would be used; together, neither is chosen silently
+        cfg = write_config(tmp_path, "inv.json", {
+            "family": "heat_kernel", "noise": {"kind": "uniform"},
+            "n_particles": 1000, "K": 4})
+        out = tmp_path / "o"
+        assert main(["invariant", "--config", str(cfg), "--out", str(out),
+                     "--threads", "1"]) == 2
+        assert "config field 'noise'" in capsys.readouterr().err
+        assert not (out / "invariant.csv").exists()
+
     def test_rejects_small_n(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "inv.json",
                            {"family": "heat_kernel", "n_particles": 2})
@@ -502,8 +512,7 @@ class TestOracle:
 
     def test_unreachable_tol_is_refused_naming_field(self, tmp_path, capsys, monkeypatch):
         # the gap stalls near 1e-16, so the cap runs out (50 iterations here)
-        monkeypatch.setattr("pairjump.cli.stationary",
-                            functools.partial(oracle.stationary, max_iter=50))
+        monkeypatch.setattr(oracle, "MAX_POWER_ITERATIONS", 50)
         cfg = write_config(tmp_path, "orc.json", {
             "model": "cl", "n_particles": 3, "M": 8,
             "noise": {"kind": "wrapped_normal", "param": 0.5}, "tol": 1e-300})

@@ -64,7 +64,6 @@ class TestClosedForm:
     def test_normalization_forced(self, n):
         prof = pair_correlation_closed(WrappedNormalNoise(0.4), n, 16)
         assert prof.coeff(0) == pytest.approx(1.0, abs=1e-14)
-        assert prof.n_particles == float(n)
 
     def test_uniform_noise_kills_correlation(self):
         prof = pair_correlation_closed(UniformNoise(), 7, 12)
@@ -176,33 +175,33 @@ class TestSeries:
 
 class TestGamma:
     def test_k0_is_zero(self):
-        out = gamma_from_noise(heat_kernel_family, 50, 8)
+        out = gamma_from_noise(heat_kernel_family(50), 50, 8)
         assert out[0] == 0.0
 
     def test_heat_kernel_second_order(self):
         # gamma_N(k) + k^2 = (2k^2 + k^4/2)/N + O(1/N^2) for the heat-kernel
         # family; at N=1e4, k=1 the defect is 2.5e-4
         n = 10_000
-        out = gamma_from_noise(heat_kernel_family, n, 3)
+        out = gamma_from_noise(heat_kernel_family(n), n, 3)
         k = np.arange(4)
         assert_allclose(out + k**2, (2 * k**2 + k**4 / 2) / n, rtol=2e-3, atol=1e-12)
 
     def test_heat_kernel_converges_like_one_over_n(self):
         k = np.arange(1, 4)
-        d3 = gamma_from_noise(heat_kernel_family, 10**3, 3)[1:] + k**2
-        d4 = gamma_from_noise(heat_kernel_family, 10**4, 3)[1:] + k**2
+        d3 = gamma_from_noise(heat_kernel_family(10**3), 10**3, 3)[1:] + k**2
+        d4 = gamma_from_noise(heat_kernel_family(10**4), 10**4, 3)[1:] + k**2
         assert np.all((d3 / d4 > 9.5) & (d3 / d4 < 10.5))
 
     def test_fixed_noise_diverges_linearly(self):
         g = WrappedNormalNoise(0.2)
         gh = g.fourier(1)
-        out = gamma_from_noise(lambda n: g, 10**6, 2)
+        out = gamma_from_noise(g, 10**6, 2)
         assert out[1] < 0
         assert out[1] / 10**6 == pytest.approx(gh - 1.0, rel=1e-5)
 
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
-            gamma_from_noise(heat_kernel_family, 2, 4)
+            gamma_from_noise(heat_kernel_family(2), 2, 4)
 
 
 class TestHeatKernelFamily:
@@ -224,7 +223,6 @@ class TestLimitProfile:
         k = np.arange(9)
         prof = limit_profile(-k.astype(float) ** 2)
         assert_allclose(prof.fhat, 1.0 / (1.0 + k**2), rtol=1e-15)
-        assert prof.n_particles == math.inf
 
     def test_zero_gamma_full_correlation(self):
         prof = limit_profile(np.zeros(5))
@@ -262,4 +260,4 @@ class TestCorrelationProfile:
 
     def test_rejects_too_short(self):
         with pytest.raises(ValueError):
-            CorrelationProfile(np.array([1.0]), 3.0)
+            CorrelationProfile(np.array([1.0]))

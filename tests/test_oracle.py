@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 from numpy.testing import assert_allclose, assert_array_equal
 
+from pairjump import oracle
 from pairjump.circle import TabulatedNoise, UniformNoise, WrappedNormalNoise
 from pairjump.invariant import pair_correlation_closed
 from pairjump.kinetic import bisector_tables
@@ -249,19 +250,23 @@ class TestStationary:
         m1 = marginal(f, [0])
         assert_allclose(m1, 1.0 / M, rtol=0, atol=1e-8)
 
-    def test_iteration_cap(self):
+    def test_iteration_cap(self, monkeypatch):
+        # the cap is the module constant and the iteration starts uniform;
         # N=2 converges in one application, so use N=3 to hit the cap
+        assert oracle.MAX_POWER_ITERATIONS == 10 ** 6
         tm = build_transition(ModelSpec("cl", tabulated_wn(0.5, 8)), 3, 8)
-        with pytest.raises(RuntimeError, match="gap"):
-            stationary(tm, tol=1e-12, max_iter=2)
+        seen, rmatvec = [], type(tm).rmatvec
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_rejects_non_finite_start(self, bad):
-        tm = build_transition(ModelSpec("cl", tabulated_wn(0.5, 4)), 2, 4)
-        start = np.full(tm.n_states, 1.0)
-        start[3] = bad
-        with pytest.raises(ValueError, match="finite"):
-            stationary(tm, start=start)
+        def recording(self, w):
+            seen.append(w.copy())
+            return rmatvec(self, w)
+
+        monkeypatch.setattr(type(tm), "rmatvec", recording)
+        monkeypatch.setattr(oracle, "MAX_POWER_ITERATIONS", 2)
+        with pytest.raises(RuntimeError, match="gap"):
+            stationary(tm, tol=1e-12)
+        assert len(seen) == 2
+        assert_array_equal(seen[0], np.full(tm.n_states, 1.0 / tm.n_states))
 
     def test_pair_correlation_at_four_particles(self):
         # A1's check at N=4: the exact stationary pair correlation equals
@@ -275,11 +280,6 @@ class TestStationary:
         closed = pair_correlation_closed(g, N, 4).fhat
         assert np.abs(emp[1:] - closed[1:]).max() < 1e-9
 
-    def test_rejects_empty_iteration_cap(self):
-        tm = build_transition(ModelSpec("cl", tabulated_wn(0.5, 4)), 2, 4)
-        with pytest.raises(ValueError, match="max_iter"):
-            stationary(tm, max_iter=0)
-
     @pytest.mark.parametrize("tol", [float("nan"), 0.0, -1.0, float("inf")])
     def test_rejects_bad_tolerance_before_iterating(self, tol, monkeypatch):
         tm = build_transition(ModelSpec("cl", tabulated_wn(0.5, 4)), 2, 4)
@@ -291,24 +291,27 @@ class TestStationary:
         with pytest.raises(ValueError, match="tol"):
             stationary(tm, tol=tol)
 
-    def test_stats_record_iterations_and_final_gap(self):
+    def test_stats_record_iterations_and_final_gap(self, monkeypatch):
         tm = build_transition(ModelSpec("cl", tabulated_wn(0.5, 8)), 3, 8)
         stats = {"power_iterations": -1}
         f = stationary(tm, tol=1e-10, stats=stats)
         assert set(stats) == {"power_iterations", "final_gap"}
         assert 0.0 <= stats["final_gap"] < 1e-10
         # the same iteration capped one step short raises
-        with pytest.raises(RuntimeError, match="gap"):
-            stationary(tm, tol=1e-10, max_iter=stats["power_iterations"] - 1)
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "MAX_POWER_ITERATIONS", stats["power_iterations"] - 1)
+            with pytest.raises(RuntimeError, match="gap"):
+                stationary(tm, tol=1e-10)
         assert f.weights.tobytes() == stationary(tm, tol=1e-10).weights.tobytes()
 
-    def test_n2_stationary_in_one_step(self):
+    def test_n2_stationary_in_one_step(self, monkeypatch):
         # for N=2 the pair-difference law of the stationary density is the
         # noise itself, reached after a single jump from independence
         M = 8
         g = tabulated_wn(0.5, M)
         tm = build_transition(ModelSpec("cl", g), 2, M)
-        f = stationary(tm, tol=1e-12, max_iter=3)
+        monkeypatch.setattr(oracle, "MAX_POWER_ITERATIONS", 3)
+        f = stationary(tm, tol=1e-12)
         prof = pair_difference_profile(marginal(f, [0, 1]))
         assert_allclose(prof, noise_masses(g, M), rtol=0, atol=1e-12)
 
@@ -367,7 +370,7 @@ class TestMarginal:
         assert marginal(f, [1]).sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_bad_coords(self):
-        d = JointDensity.uniform(2, 4)
+        d = JointDensity.product(2, np.full(4, 0.25))
         with pytest.raises(ValueError):
             marginal(d, [])
         with pytest.raises(ValueError):
@@ -399,25 +402,23 @@ class TestGenerator:
         assert abs(out.sum()) < 1e-12
 
     def test_uniform_noise_uniformizes_any_start(self):
-        # with uniform g the only stationary density is uniform: power
-        # iteration started from arbitrary densities lands there, and the
+        # with uniform g the only stationary density is uniform: the jump
+        # law iterated from arbitrary densities lands there, and the
         # generator vanishes on the limit
         M = 8
         tm = build_transition(ModelSpec("cl", UniformNoise()), 2, M)
         rng = np.random.default_rng(7)
         for _ in range(5):
             w = rng.random(M * M)
-            f = stationary(tm, tol=1e-13, start=w)
+            w /= w.sum()
+            for _ in range(100):
+                w = tm.rmatvec(w)
+            f = JointDensity(2, M, w)
             assert_allclose(f.weights, 1.0 / (M * M), rtol=0, atol=1e-12)
             assert np.abs(generator(tm, f)).sum() < 2 * 1e-12
 
 
 class TestJointDensity:
-    def test_uniform(self):
-        d = JointDensity.uniform(2, 4)
-        assert d.weights.shape == (16,)
-        assert d.weights.sum() == pytest.approx(1.0)
-
     def test_tensor_layout(self):
         # weights are flattened with the first coordinate fastest
         M = 4
