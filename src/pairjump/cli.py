@@ -306,8 +306,8 @@ def cmd_oracle(cfg, out: Path, config_hash: str, workers: int) -> int:
     noise = _noise_from(cfg, "noise")
     tol = float(_get(cfg, "tol", (int, float), required=False, default=1e-12,
                      check=lambda v: v > 0, expect="a positive tolerance"))
-    coords_list = _get(cfg, "marginals", list, required=False,
-                       default=[[0], [0, 1]], expect="a list of coordinate lists")
+    coords_list = _get(cfg, "marginals", list, required=False, default=[[0], [0, 1]],
+                       check=bool, expect="a nonempty list of coordinate lists")
     for i, coords in enumerate(coords_list):
         if (not isinstance(coords, list) or not coords
                 or any(isinstance(c, bool) or not isinstance(c, int) for c in coords)):
@@ -315,6 +315,8 @@ def cmd_oracle(cfg, out: Path, config_hash: str, workers: int) -> int:
         if len(set(coords)) != len(coords) or min(coords) < 0 or max(coords) >= n:
             raise ConfigError(f"config field 'marginals[{i}]': coordinates must be "
                               f"distinct and in 0..{n - 1}, got {coords!r}")
+        if coords in coords_list[:i]:
+            raise ConfigError(f"config field 'marginals[{i}]': {coords!r} is listed twice")
 
     t0 = time.perf_counter()
     try:
@@ -325,7 +327,7 @@ def cmd_oracle(cfg, out: Path, config_hash: str, workers: int) -> int:
     solver = {}
     try:
         dist = stationary(tm, tol=tol, stats=solver)
-    except RuntimeError as exc:  # the cap ran out: this tolerance is out of reach
+    except RuntimeError as exc:  # the gap stopped falling: this tolerance is out of reach
         raise ConfigError(f"config field 'tol': {exc}") from exc
     t2 = time.perf_counter()
 
@@ -348,8 +350,8 @@ def cmd_oracle(cfg, out: Path, config_hash: str, workers: int) -> int:
 
 
 def cmd_verify(cfg, out: Path, config_hash: str, workers: int) -> int:
-    names = _get(cfg, "scenarios", list, required=False,
-                 default=sorted(SCENARIOS), expect="a list of scenario names")
+    names = _get(cfg, "scenarios", list, required=False, default=sorted(SCENARIOS),
+                 check=bool, expect="a nonempty list of scenario names")
     for i, name in enumerate(names):
         if not isinstance(name, str) or name not in SCENARIOS:
             raise ConfigError(f"config field 'scenarios[{i}]': unknown scenario {name!r}; "

@@ -151,8 +151,6 @@ def _mode_stats(snapshots: np.ndarray, kmax: int):
 @dataclass(eq=False)
 class EnsembleSummary:
     times: np.ndarray        # (T,)
-    n_replicas: int
-    n_particles: int
     kmax: int
     f1: np.ndarray           # (T, kmax+1) complex, mean one-particle coefficient
     f1_se: np.ndarray        # (T, kmax+1)
@@ -172,14 +170,14 @@ def summarize(result: EnsembleResult, kmax: int = DEFAULT_KMAX) -> EnsembleSumma
         raise ValueError("kmax must be >= 1")
     if not np.isfinite(snaps).all():
         raise ValueError("snapshots hold non-finite angles")
-    R, T, N = snaps.shape
+    R = snaps.shape[0]
     a, b = _mode_stats(snaps, kmax)
     f1 = a.mean(axis=0)
     f1_se = np.sqrt((a.real.var(axis=0, ddof=1) + a.imag.var(axis=0, ddof=1)) / R)
     pair = b.mean(axis=0)
     pair_se = np.sqrt(b.var(axis=0, ddof=1) / R)
-    return EnsembleSummary(times=result.times, n_replicas=R, n_particles=N, kmax=kmax,
-                           f1=f1, f1_se=f1_se, pair=pair, pair_se=pair_se)
+    return EnsembleSummary(times=result.times, kmax=kmax, f1=f1, f1_se=f1_se, pair=pair,
+                           pair_se=pair_se)
 
 
 def _reference_pair_power(f: FourierDensity, kmax: int) -> np.ndarray:

@@ -48,7 +48,6 @@ __all__ = [
 # entries left after merging, plus one block of rows), so about 0.35 GB.
 ENTRY_CAP = 2 ** 25
 BLOCK_ENTRIES = 2 ** 18  # entries assembled per block of rows, over all pairs
-MAX_POWER_ITERATIONS = 1_000_000  # stationary's cap; a tol it cannot reach raises
 
 
 @dataclass(eq=False)
@@ -234,24 +233,25 @@ def stationary(tm: TransitionMatrix, tol: float = 1e-12,
                stats: dict | None = None) -> JointDensity:
     """Stationary law by power iteration from the uniform law.
 
-    Stops when successive iterates differ by less than tol in L1 norm; at
-    return the residual ||Q*F - F||_1 is below tol. Raises if
-    MAX_POWER_ITERATIONS run out first. Sets ``power_iterations`` and
-    ``final_gap`` (the last L1 difference) in ``stats``, if given.
+    Stops once successive iterates differ by less than tol in L1 norm; at return
+    the residual ||Q*F - F||_1 is below tol. P^T never lengthens an L1 difference
+    (Dobrushin), so a gap not below the last means rounding (1e-16 to 1e-14) or a
+    non-mixing chain ended the fall: it raises then, even if a later fluctuation
+    might meet tol. Sets ``power_iterations`` and ``final_gap`` in ``stats``, if given.
     """
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
-    d = np.full(tm.n_states, 1.0 / tm.n_states)
-    for it in range(1, MAX_POWER_ITERATIONS + 1):
+    d, gap = np.full(tm.n_states, 1.0 / tm.n_states), np.inf
+    for it in itertools.count(1):
         d_next = tm.rmatvec(d)
         d_next /= d_next.sum()
-        gap = np.abs(d_next - d).sum()
-        d = d_next
+        last, gap, d = gap, np.abs(d_next - d).sum(), d_next
         if gap < tol:
             if stats is not None:
                 stats.update(power_iterations=it, final_gap=float(gap))
             return JointDensity(tm.n_particles, tm.grid_size, d)
-    raise RuntimeError(f"power iteration did not reach tol={tol} (last gap {gap:.3e})")
+        if not gap < last:  # also a NaN gap
+            raise RuntimeError(f"power iteration stalled at L1 gap {gap:.3e} after {it} steps")
 
 
 def marginal(d: JointDensity, coords: Sequence[int]) -> np.ndarray:

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from pairjump import __version__, oracle
+from pairjump import __version__
 from pairjump.circle import UniformNoise, VonMisesNoise, WrappedNormalNoise
 from pairjump.cli import main
 from pairjump.kinetic import KineticConfig, bdg_evolve
@@ -496,7 +496,8 @@ class TestOracle:
         err = capsys.readouterr().err
         assert f"config field '{field}'" in err and "power of two" in err
 
-    @pytest.mark.parametrize("coords", [[0, 5], [1, 1]], ids=["out-of-range", "repeated"])
+    @pytest.mark.parametrize("coords", [[0, 5], [1, 1], [0]],
+                             ids=["out-of-range", "repeated", "listed-twice"])
     def test_rejects_bad_marginals_before_building(self, tmp_path, capsys, monkeypatch,
                                                   coords):
         def refuse(*args):
@@ -510,16 +511,28 @@ class TestOracle:
                      "--out", str(tmp_path / "o"), "--threads", "1"]) == 2
         assert "marginals[1]" in capsys.readouterr().err
 
-    def test_unreachable_tol_is_refused_naming_field(self, tmp_path, capsys, monkeypatch):
-        # the gap stalls near 1e-16, so the cap runs out (50 iterations here)
-        monkeypatch.setattr(oracle, "MAX_POWER_ITERATIONS", 50)
+    def test_rejects_empty_marginals_before_building(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("transition matrix built before validation")
+
+        monkeypatch.setattr("pairjump.cli.build_transition", refuse)
+        cfg = write_config(tmp_path, "orc.json", {
+            "model": "cl", "n_particles": 3, "M": 4, "noise": {"kind": "uniform"},
+            "marginals": []})
+        assert main(["oracle", "--config", str(cfg),
+                     "--out", str(tmp_path / "o"), "--threads", "1"]) == 2
+        assert "config field 'marginals'" in capsys.readouterr().err
+
+    def test_unreachable_tol_is_refused_naming_field(self, tmp_path, capsys):
+        # the L1 gap stops falling near 1e-16, which refuses the tolerance
         cfg = write_config(tmp_path, "orc.json", {
             "model": "cl", "n_particles": 3, "M": 8,
             "noise": {"kind": "wrapped_normal", "param": 0.5}, "tol": 1e-300})
         out = tmp_path / "o"
         assert main(["oracle", "--config", str(cfg), "--out", str(out),
                      "--threads", "1"]) == 2
-        assert "config field 'tol'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config field 'tol'" in err and "stalled at L1 gap" in err
         assert not (out / "oracle.csv").exists()
 
 
@@ -596,6 +609,17 @@ class TestVerify:
         assert main(["verify", "--config", str(cfg),
                      "--out", str(tmp_path / "o"), "--threads", "1"]) == 2
         assert "config field 'scenarios[2]'" in capsys.readouterr().err
+
+    def test_rejects_empty_scenario_list(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("scenario run before validation")
+
+        monkeypatch.setattr("pairjump.cli.run_scenario", refuse)
+        cfg = write_config(tmp_path, "ver.json", {"scenarios": []})
+        out = tmp_path / "o"
+        assert main(["verify", "--config", str(cfg), "--out", str(out), "--threads", "1"]) == 2
+        assert "config field 'scenarios'" in capsys.readouterr().err
+        assert not (out / "verify.json").exists()
 
     def test_rejects_negative_seed(self, tmp_path, capsys, monkeypatch):
         def refuse(*args):

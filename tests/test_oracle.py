@@ -250,23 +250,51 @@ class TestStationary:
         m1 = marginal(f, [0])
         assert_allclose(m1, 1.0 / M, rtol=0, atol=1e-8)
 
-    def test_iteration_cap(self, monkeypatch):
-        # the cap is the module constant and the iteration starts uniform;
-        # N=2 converges in one application, so use N=3 to hit the cap
-        assert oracle.MAX_POWER_ITERATIONS == 10 ** 6
-        tm = build_transition(ModelSpec("cl", tabulated_wn(0.5, 8)), 3, 8)
+    @pytest.mark.parametrize("kind,N,M,steps", [
+        ("cl", 3, 16, 53), ("cl", 4, 8, 98), ("bdg", 3, 16, 45), ("bdg", 4, 8, 83)])
+    def test_reference_shape_iteration_counts(self, kind, N, M, steps):
+        stats = {}
+        stationary(build_transition(ModelSpec(kind, tabulated_wn(0.5, M)), N, M), stats=stats)
+        assert stats["power_iterations"] == steps
+
+    def test_unreachable_tol_stalls_within_a_thousand_steps(self, monkeypatch):
+        # the gap falls strictly from the uniform start until rounding stops
+        # it; the bound makes a run that would grind on fail fast instead
+        assert not hasattr(oracle, "MAX_POWER_ITERATIONS")
+        tm = build_transition(ModelSpec("bdg", WrappedNormalNoise(0.5)), 4, 8)
         seen, rmatvec = [], type(tm).rmatvec
 
-        def recording(self, w):
+        def bounded(self, w):
+            if len(seen) == 1000:
+                raise AssertionError("power iteration ran past 1000 steps")
             seen.append(w.copy())
             return rmatvec(self, w)
 
-        monkeypatch.setattr(type(tm), "rmatvec", recording)
-        monkeypatch.setattr(oracle, "MAX_POWER_ITERATIONS", 2)
-        with pytest.raises(RuntimeError, match="gap"):
-            stationary(tm, tol=1e-12)
-        assert len(seen) == 2
+        monkeypatch.setattr(type(tm), "rmatvec", bounded)
+        with pytest.raises(RuntimeError, match="stalled at L1 gap") as refused:
+            stationary(tm, tol=1e-300)
+        assert f"after {len(seen)} steps" in str(refused.value)
         assert_array_equal(seen[0], np.full(tm.n_states, 1.0 / tm.n_states))
+        gaps = [np.abs(b - a).sum() for a, b in zip(seen, seen[1:])]
+        assert all(later < earlier for earlier, later in zip(gaps, gaps[1:]))
+        assert gaps[-1] < 1e-14
+
+    def test_non_mixing_chain_is_refused_at_once(self):
+        # 0 -> 1, 1 -> 0, 2 -> 0: periodic, so the gap never falls
+        P = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        calls = []
+
+        class Periodic:
+            n_particles, grid_size, n_states = 1, 3, 3
+
+            def rmatvec(self, w):
+                calls.append(1)
+                assert len(calls) <= 3, "power iteration ran past 3 steps"
+                return P.T @ w
+
+        with pytest.raises(RuntimeError, match="stalled at L1 gap 6.667e-01 after 2 steps"):
+            stationary(Periodic())
+        assert len(calls) == 2
 
     def test_pair_correlation_at_four_particles(self):
         # A1's check at N=4: the exact stationary pair correlation equals
@@ -297,21 +325,28 @@ class TestStationary:
         f = stationary(tm, tol=1e-10, stats=stats)
         assert set(stats) == {"power_iterations", "final_gap"}
         assert 0.0 <= stats["final_gap"] < 1e-10
-        # the same iteration capped one step short raises
-        with monkeypatch.context() as m:
-            m.setattr(oracle, "MAX_POWER_ITERATIONS", stats["power_iterations"] - 1)
-            with pytest.raises(RuntimeError, match="gap"):
-                stationary(tm, tol=1e-10)
-        assert f.weights.tobytes() == stationary(tm, tol=1e-10).weights.tobytes()
+        # one rmatvec per step, and the gap first falls below tol at the last
+        seen, rmatvec = [], type(tm).rmatvec
 
-    def test_n2_stationary_in_one_step(self, monkeypatch):
+        def recording(self, w):
+            seen.append(w.copy())
+            return rmatvec(self, w)
+
+        monkeypatch.setattr(type(tm), "rmatvec", recording)
+        assert f.weights.tobytes() == stationary(tm, tol=1e-10).weights.tobytes()
+        assert len(seen) == stats["power_iterations"]
+        gaps = [np.abs(b - a).sum() for a, b in zip(seen, seen[1:] + [f.weights])]
+        assert min(gaps[:-1]) >= 1e-10 and gaps[-1] == stats["final_gap"]
+
+    def test_n2_stationary_in_one_step(self):
         # for N=2 the pair-difference law of the stationary density is the
         # noise itself, reached after a single jump from independence
         M = 8
         g = tabulated_wn(0.5, M)
         tm = build_transition(ModelSpec("cl", g), 2, M)
-        monkeypatch.setattr(oracle, "MAX_POWER_ITERATIONS", 3)
-        f = stationary(tm, tol=1e-12)
+        stats = {}
+        f = stationary(tm, tol=1e-12, stats=stats)
+        assert stats["power_iterations"] == 2  # one jump, then a step that moves nothing
         prof = pair_difference_profile(marginal(f, [0, 1]))
         assert_allclose(prof, noise_masses(g, M), rtol=0, atol=1e-12)
 
