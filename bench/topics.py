@@ -158,8 +158,8 @@ def phasors_outputs(src: Path, npz: Path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# deposition: the midpoint (bdg) kinetic right-hand side, per call at each M
-# (the warm-up call is where a table-based deposition builds its tables), and
+# deposition: the midpoint (bdg) kinetic gain ``bdg_gain``, one right-hand
+# side's deposition and noise convolution, per call at each M, and
 # ``bdg_evolve`` at M = 1024 to t = 0.5, the largest solve of ``reference``.
 
 GRIDS = (256, 512, 1024)
@@ -174,30 +174,32 @@ def _evolve(circle, kinetic):
 
 
 def deposition_layers(src: Path) -> dict:
-    """Per-call deposition times and one large bdg solve for the pairjump in src."""
+    """Per-call gain times and one large bdg solve for the pairjump in src."""
     sys.path.insert(0, str(src))
     from pairjump import circle, kinetic
 
     times = {}
     for M in GRIDS:
-        p = circle.WrappedNormalNoise(0.5).tabulate(M).masses
-        times[f"pushforward_ms.M{M}"] = 1e3 * _median_time(
-            lambda: kinetic._pushforward_masses(p, p), DEPOSITION_CALLS)
+        f = circle.WrappedNormalNoise(0.5).tabulate(M)
+        # a noise tabulated on the grid, so that tabulating a wrapped normal on
+        # each call (about 0.3 ms) does not swamp the deposition
+        g = circle.TabulatedNoise(circle.WrappedNormalNoise(0.2).tabulate(M).values)
+        times[f"gain_ms.M{M}"] = 1e3 * _median_time(lambda: kinetic.bdg_gain(f, g),
+                                                     DEPOSITION_CALLS)
     times[f"bdg_evolve_s.M{EVOLVE_M}"] = _median_time(lambda: _evolve(circle, kinetic),
                                                        EVOLVE_RUNS)
     return times
 
 
 def deposition_outputs(src: Path, npz: Path) -> None:
-    """Deposition of random unequal factors at each M, and the large solve's masses."""
+    """The gain of a random density at each M, and the large solve's masses."""
     sys.path.insert(0, str(src))
     from pairjump import circle, kinetic
 
     out = {}
     for M in GRIDS:
-        rng = np.random.default_rng(M)
-        pa, pb = rng.random(M), rng.random(M) ** 3
-        out[f"pushforward.M{M}"] = kinetic._pushforward_masses(pa / pa.sum(), pb / pb.sum())
+        f = circle.GridDensity.from_unnormalized(np.random.default_rng(M).random(M) ** 3)
+        out[f"gain.M{M}"] = kinetic.bdg_gain(f, circle.WrappedNormalNoise(0.2)).masses
     out[f"bdg_evolve.M{EVOLVE_M}"] = _evolve(circle, kinetic).masses
     np.savez(npz, **out)
 

@@ -207,25 +207,33 @@ class TestPushforward:
     @pytest.mark.parametrize("M", [2 ** e for e in range(1, 11)])
     def test_diagonal_sums_match_table_deposition(self, M):
         rng = np.random.default_rng(M)
-        pa = rng.random(M)
-        pb = rng.random(M) ** 3  # a second, unequal factor
-        pa /= pa.sum()
-        pb /= pb.sum()
-        want = table_deposition(pa, pb)
-        got = _pushforward_masses(pa, pb)
+        p = rng.random(M) ** 3
+        p /= p.sum()
+        want = table_deposition(p, p)
+        got = _pushforward_masses(p)
         assert np.max(np.abs(got - want)) <= 1e-14 * want.max()
+
+    @pytest.mark.parametrize("M", [2, 4, 8, 1024])
+    def test_rolled_input_rolls_output_bit_for_bit(self, M):
+        # M = 2 has no mirror pair and an odd antipodal difference; M = 4 has
+        # no even mirror pair and an even antipodal difference
+        p = np.random.default_rng(M).random(M)
+        p /= p.sum()
+        out = _pushforward_masses(p)
+        for s in (1, 2, 3, M // 2 + 1):
+            assert np.array_equal(_pushforward_masses(np.roll(p, s)), np.roll(out, s))
 
     def test_point_mass_fixed(self):
         M = 32
         p = np.zeros(M)
         p[5] = 1.0
-        out = _pushforward_masses(p, p)
+        out = _pushforward_masses(p)
         assert out[5] == pytest.approx(1.0, abs=1e-12)
 
     def test_uniform_fixed(self):
         M = 64
         p = np.full(M, 1.0 / M)
-        assert_allclose(_pushforward_masses(p, p), 1.0 / M, rtol=0, atol=1e-14)
+        assert_allclose(_pushforward_masses(p), 1.0 / M, rtol=0, atol=1e-14)
 
     def test_two_point_masses(self):
         # equal masses at 0 and pi/2: ordered pairs (0,0), (q,q) keep their
@@ -233,7 +241,7 @@ class TestPushforward:
         M = 16
         p = np.zeros(M)
         p[0] = p[4] = 0.5
-        m = _pushforward_masses(p, p)
+        m = _pushforward_masses(p)
         assert m[0] == pytest.approx(0.25, abs=1e-12)
         assert m[4] == pytest.approx(0.25, abs=1e-12)
         assert m[2] == pytest.approx(0.5, abs=1e-12)
@@ -242,7 +250,7 @@ class TestPushforward:
     def test_mass_one(self):
         rng = np.random.default_rng(0)
         p = GridDensity.from_unnormalized(rng.random(128) + 0.01).masses
-        assert _pushforward_masses(p, p).sum() == pytest.approx(1.0, abs=1e-12)
+        assert _pushforward_masses(p).sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_converges_to_spectral_law_like_inverse_m_squared(self):
         # the shorter-arc midpoint law of two i.i.d. angles has modes
@@ -255,7 +263,7 @@ class TestPushforward:
 
         def midpoint_law(M):
             p = f.tabulate(M).masses
-            return GridDensity.from_unnormalized(_pushforward_masses(p, p))
+            return GridDensity.from_unnormalized(_pushforward_masses(p))
 
         err = {M: np.max(np.abs(fourier_coeffs(midpoint_law(M), 8).coeffs - want))
                for M in (256, 512)}
@@ -297,7 +305,7 @@ class TestGain:
         rng = np.random.default_rng(3)
         p1 = GridDensity.from_unnormalized(rng.random(M) + 0.1).masses
         p2 = GridDensity.from_unnormalized(rng.random(M) + 0.1).masses
-        push = lambda p: _pushforward_masses(p, p)  # noqa: E731
+        push = _pushforward_masses
         B11, B22 = push(p1), push(p2)
         cross = 4.0 * push(0.5 * (p1 + p2)) - B11 - B22
         a = 0.3
