@@ -258,48 +258,57 @@ def snapshots_layers(src: Path) -> dict:
 # ---------------------------------------------------------------------------
 # oracle: ``build_transition`` and ``stationary`` at perfbench's ``reference``
 # cases, each on a fresh matrix as ``reference`` runs them (a warm-up round
-# first), and the stationary weights
+# first), the state count, the process's peak resident memory, and the one-
+# and two-particle stationary marginals, which stay comparable across changes
+# of the state space
 
 ORACLE_CASES = tuple((kind, n, m) for kind in ("cl", "bdg") for n, m in ((3, 16), (4, 8)))
 ORACLE_RUNS = 5
 
 
 def _oracle_solve(circle, models, oracle, kind, n, m) -> tuple:
-    """Build and stationary wall seconds, the iteration count, nnz and the weights."""
+    """Build and stationary wall seconds, the iteration count, the state count,
+    nnz and the stationary law."""
     g = circle.TabulatedNoise(circle.WrappedNormalNoise(0.5).tabulate(m).values)
     t0 = time.perf_counter()
     tm = oracle.build_transition(models.ModelSpec(kind, g), n, m)
     t1 = time.perf_counter()
     stats = {}
-    weights = oracle.stationary(tm, stats=stats).weights
+    law = oracle.stationary(tm, stats=stats)
     t2 = time.perf_counter()
-    return t1 - t0, t2 - t1, stats["power_iterations"], tm.P.nnz, weights
+    return t1 - t0, t2 - t1, stats["power_iterations"], tm.n_states, tm.P.nnz, law
 
 
 def oracle_layers(src: Path) -> dict:
-    """Per-case build and stationary times, iterations and nnz for the pairjump in src."""
+    """Per-case build and stationary times, iterations, states and nnz for the
+    pairjump in src, and the peak resident memory after all of them."""
     sys.path.insert(0, str(src))
     from pairjump import circle, models, oracle
 
     figures = {}
     for kind, n, m in ORACLE_CASES:
         runs = [_oracle_solve(circle, models, oracle, kind, n, m) for _ in range(1 + ORACLE_RUNS)]
-        build, solve, iterations, nnz, _ = zip(*runs[1:])
+        build, solve, iterations, states, nnz, _ = zip(*runs[1:])
         tag = f"{kind}_{n}x{m}"
         figures.update({f"build_s.{tag}": float(np.median(build)),
                         f"stationary_s.{tag}": float(np.median(solve)),
-                        f"power_iterations.{tag}": iterations[0], f"nnz.{tag}": nnz[0]})
+                        f"power_iterations.{tag}": iterations[0], f"states.{tag}": states[0],
+                        f"nnz.{tag}": nnz[0]})
+    figures["ru_maxrss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     return figures
 
 
 def oracle_outputs(src: Path, npz: Path) -> None:
-    """The stationary weights of each case."""
+    """The one- and two-particle stationary marginals of each case."""
     sys.path.insert(0, str(src))
     from pairjump import circle, models, oracle
 
-    np.savez(npz, **{f"stationary.{kind}_{n}x{m}":
-                     _oracle_solve(circle, models, oracle, kind, n, m)[4]
-                     for kind, n, m in ORACLE_CASES})
+    out = {}
+    for kind, n, m in ORACLE_CASES:
+        law = _oracle_solve(circle, models, oracle, kind, n, m)[-1]
+        out[f"marginal_0.{kind}_{n}x{m}"] = oracle.marginal(law, [0])
+        out[f"marginal_01.{kind}_{n}x{m}"] = oracle.marginal(law, [0, 1])
+    np.savez(npz, **out)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Brute force against formula: three particles on a 16-cell circle.
 
-Builds the exact one-jump transition matrix of the leader model on the
-16^3-state grid, power-iterates to the stationary law, and compares the
-Fourier coefficients of its pair-difference marginal with the closed-form
+Builds the exact one-jump transition matrix of the leader model on the 816
+multisets of three cells out of 16 (the 16^3 labelled grid states lumped onto
+particle permutations), power-iterates to the stationary law, and compares
+the Fourier coefficients of its pair-difference marginal with the closed-form
 profile. Agreement is limited only by the power-iteration tolerance.
 """
 

@@ -45,9 +45,9 @@ from .invariant import (
     limit_profile,
     pair_correlation_closed,
 )
-from .kinetic import RATE_FACTOR, KineticConfig, bdg_evolve, cl_evolve
+from .kinetic import KineticConfig, bdg_evolve, cl_evolve
 from .models import ModelSpec, simulate_ensemble
-from .oracle import build_transition, marginal, stationary
+from .oracle import build_transition, check_marginal, marginal, stationary
 from .verify import MASTER_SEED, SCENARIOS, report_dict, run_scenario
 
 __all__ = ["main", "ConfigError"]
@@ -235,9 +235,6 @@ def cmd_kinetic(cfg, out: Path, config_hash: str, workers: int) -> int:
                 check=lambda v: v >= 1, expect="an integer >= 1")
     M = _get(cfg, "M", int, required=False, default=256,
              check=lambda v: v >= 2 and v & (v - 1) == 0, expect="a power of two >= 2")
-    if "rate_factor" in cfg:
-        raise ConfigError("config field 'rate_factor': not a setting; the kinetic "
-                          f"time scale is fixed (RATE_FACTOR = {RATE_FACTOR:g})")
     dt = float(_get(cfg, "dt", (int, float), required=False, default=0.02))
     try:
         kcfg = KineticConfig(dt=dt)
@@ -312,9 +309,10 @@ def cmd_oracle(cfg, out: Path, config_hash: str, workers: int) -> int:
         if (not isinstance(coords, list) or not coords
                 or any(isinstance(c, bool) or not isinstance(c, int) for c in coords)):
             raise ConfigError(f"config field 'marginals[{i}]': expected a list of coordinates")
-        if len(set(coords)) != len(coords) or min(coords) < 0 or max(coords) >= n:
-            raise ConfigError(f"config field 'marginals[{i}]': coordinates must be "
-                              f"distinct and in 0..{n - 1}, got {coords!r}")
+        try:
+            check_marginal(n, m, coords)
+        except ValueError as exc:
+            raise ConfigError(f"config field 'marginals[{i}]': {exc}") from exc
         if coords in coords_list[:i]:
             raise ConfigError(f"config field 'marginals[{i}]': {coords!r} is listed twice")
 
@@ -376,12 +374,13 @@ def cmd_verify(cfg, out: Path, config_hash: str, workers: int) -> int:
     return 0 if payload["passed"] else 1
 
 
+# each command and the top-level config fields it reads
 COMMANDS = {
-    "simulate": cmd_simulate,
-    "kinetic": cmd_kinetic,
-    "invariant": cmd_invariant,
-    "oracle": cmd_oracle,
-    "verify": cmd_verify,
+    "simulate": (cmd_simulate, "model n_particles noise initial t_end checkpoints replicas seed K"),
+    "kinetic": (cmd_kinetic, "model noise initial t_end checkpoints K M dt"),
+    "invariant": (cmd_invariant, "n_particles K family noise"),
+    "oracle": (cmd_oracle, "model n_particles M noise tol marginals"),
+    "verify": (cmd_verify, "scenarios seed"),
 }
 
 
@@ -412,6 +411,11 @@ def main(argv=None) -> int:
     if not isinstance(cfg, dict):
         print("error: config must be a JSON object", file=sys.stderr)
         return 2
+    command, fields = COMMANDS[args.command]
+    unknown = next((name for name in cfg if name not in fields.split()), None)
+    if unknown is not None:
+        print(f"error: config field '{unknown}': not a field of {args.command}", file=sys.stderr)
+        return 2
 
     workers = args.threads if args.threads is not None else os.cpu_count() or 1
     if workers < 1:
@@ -423,7 +427,7 @@ def main(argv=None) -> int:
     config_hash = hashlib.sha256(raw).hexdigest()
 
     try:
-        return COMMANDS[args.command](cfg, out, config_hash, workers)
+        return command(cfg, out, config_hash, workers)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,28 +1,27 @@
 """Exact finite-state reference for the circle models.
 
 The circle is replaced by the M-point cyclic grid, which turns a model into
-a finite Markov chain on M^N states whose one-jump transition matrix can be
-assembled exactly (noise tabulated to cell masses, midpoints via the shared
-bisector table). A jump moves one of the N(N-1)/2 pairs, picked uniformly as
-in Kac's model, by one two-particle kernel K, so P is (2/(N(N-1))) * sum over
-i < j of K acting on coordinates (i, j) and the identity on the others. K is
-kept as two small sparse factors, K = D @ H (``_pair_factors``): D takes the
-pair to a pre-noise state and H applies the noise. The stationary law and
-the generator N*(Q* - I) apply P^T pair by pair through those factors
-(``TransitionMatrix.rmatvec``) and never read P, which stays for row-sum
-checks and entry counts. All of it is plain sparse linear algebra,
+a finite Markov chain whose one-jump transition matrix can be assembled
+exactly (noise tabulated to cell masses, midpoints via the shared bisector
+table). A jump moves one of the N(N-1)/2 pairs, picked uniformly as in Kac's
+model, by one two-particle kernel K = D @ H (``_pair_factors``: D takes the
+pair to a pre-noise state, H applies the noise). The chain commutes with the
+permutations of the particles, so it lumps exactly onto their orbits (Kemeny
+and Snell, *Finite Markov Chains*, 1960), and every law served here is
+exchangeable. So a state is one of the C(M+N-1, N) multisets of cells, an
+ascending tuple x_0 <= ... <= x_{N-1} numbered by its colex rank
+sum_i C(x_i + i, i + 1), and its weight is the mass of all its orderings.
+The stationary law and the generator N*(Q* - I) apply P^T
+(``TransitionMatrix.rmatvec``). All of it is plain sparse linear algebra,
 independent of the event-driven simulator, which is what makes this a
 trustworthy oracle for small N and M.
-
-States are flattened with coordinate c contributing digit (x // M**c) % M,
-i.e. mixed-radix little-endian order.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -39,61 +38,56 @@ __all__ = [
     "build_transition",
     "stationary",
     "marginal",
+    "check_marginal",
     "pair_difference_profile",
 ]
 
-# Cap on the entries build_transition emits: M^N states times N(N-1)/2 pairs
-# times 2M (cl) or M^2 (bdg). Assembly peaks at about 10 bytes per entry (bdg
-# N=5, M=8, resident memory: P's int32 column and float64 value for the 82% of
-# entries left after merging, plus one block of rows), so about 0.35 GB.
-ENTRY_CAP = 2 ** 25
-BLOCK_ENTRIES = 2 ** 18  # entries assembled per block of rows, over all pairs
+# Cap on the entries build_transition lists (C(M+N-1, N) states times N(N-1)/2
+# pairs times 2M for cl, M^2 for bdg) and a marginal lists (``check_marginal``).
+# Peak resident memory of the build: up to 50 bytes per entry above the
+# interpreter's 50 MB (cl N=2); the admitted shape that peaks highest is bdg
+# N=2, M=64 at 0.25 GB, while 2^25 would admit cl N=2, M=256 at 0.83 GB.
+ENTRY_CAP = 2 ** 24
+
+
+def _multisets(N: int, M: int) -> np.ndarray:
+    """Every N-multiset of the M cells, ascending down a column: X[i, r] is
+    the i-th smallest cell of the state of rank r."""
+    X = np.array(list(itertools.combinations_with_replacement(range(M), N)), dtype=np.int32).T
+    return X[:, np.lexsort(X)]  # the last row is the primary key: colex order
+
+
+def _rank(X, M: int) -> np.ndarray:
+    """Colex rank sum_i C(x_i + i, i + 1) of the ascending tuples with cells X[i]."""
+    rank = 0
+    for i, x in enumerate(X):
+        rank = rank + np.array([math.comb(v + i, i + 1) for v in range(M)], dtype=np.int32)[x]
+    return rank
 
 
 @dataclass(eq=False)
 class TransitionMatrix:
-    """Row-stochastic one-jump matrix P[x, y] on the M^N grid states, and the
-    factors D, H of the pair kernel K = D @ H it is assembled from."""
+    """Row-stochastic one-jump matrix P[x, y] on the multisets of N cells."""
 
     n_particles: int
     grid_size: int
     P: sp.csr_matrix
-    D: sp.csr_matrix
-    H: sp.csr_matrix
 
     @property
     def n_states(self) -> int:
-        return self.grid_size ** self.n_particles
-
-    @cached_property
-    def _pair_layout(self):
-        # src[a + M*b, (p, rest)]: the state whose cells on pair p = (i, j)
-        # are (a, b), the other coordinates in order; pos[p, x]: where state
-        # x sits in pair p's columns of src, flattened; then D^T and H^T
-        N, M = self.n_particles, self.grid_size
-        pairs = list(itertools.combinations(range(N), 2))
-        states = np.arange(self.n_states).reshape((M,) * N, order="F")
-        src = np.stack([states.transpose((j, i) + tuple(c for c in range(N) if c not in (i, j)))
-                        for i, j in pairs], axis=2).reshape(M * M, -1)
-        pos = np.empty((len(pairs), self.n_states), dtype=np.intp)
-        pos[np.arange(src.size) // (self.n_states // (M * M)) % len(pairs), src.ravel()] = \
-            np.arange(src.size)
-        return src, pos, self.D.T, self.H.T
+        return self.P.shape[0]
 
     def rmatvec(self, w: np.ndarray) -> np.ndarray:
-        """P^T w for flat weights w (the law after one jump): H^T D^T applied
-        to every pair's (i, j) axes at once, then summed; P is not read."""
-        N, w = self.n_particles, np.asarray(w, dtype=float)
+        """P^T w for weights w on the states (the law after one jump)."""
+        w = np.asarray(w, dtype=float)
         if w.shape != (self.n_states,):
-            raise ValueError(f"weights must be flat with M^N = {self.n_states} entries")
-        src, pos, DT, HT = self._pair_layout
-        Z = HT @ (DT @ w[src])
-        return Z.ravel()[pos].sum(axis=0) * (2.0 / (N * (N - 1)))
+            raise ValueError(f"weights must be flat with C(M+N-1, N) = {self.n_states} entries")
+        return self.P.T @ w
 
 
 @dataclass(eq=False)
 class JointDensity:
-    """Probability weights on grid states, flat shape (M^N,), summing to 1."""
+    """Probability weights on the multisets of N cells in rank order, summing to 1."""
 
     n_particles: int
     grid_size: int
@@ -101,26 +95,23 @@ class JointDensity:
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
-        if w.shape != (self.grid_size ** self.n_particles,):
-            raise ValueError("weights must be flat with M^N entries")
+        if w.shape != (math.comb(self.grid_size + self.n_particles - 1, self.n_particles),):
+            raise ValueError("weights must be flat with C(M+N-1, N) entries")
         if not np.isfinite(w).all() or w.min() < -1e-15 or abs(w.sum() - 1.0) > 1e-9:
             raise ValueError("weights must be a finite probability vector")
         self.weights = w
 
-    def tensor(self) -> np.ndarray:
-        """Weights reshaped to one axis per particle; axis c is coordinate c."""
-        M, N = self.grid_size, self.n_particles
-        return self.weights.reshape((M,) * N, order="F")
-
     @classmethod
     def product(cls, n_particles: int, cell_masses: np.ndarray) -> "JointDensity":
-        """Product (chaotic) law with the same single-coordinate masses."""
+        """Product (chaotic) law with the same single-coordinate masses: the
+        multinomial N! / prod_c n_c! * prod_i m[x_i]."""
         m = np.asarray(cell_masses, dtype=float)
-        out = m.copy()
-        for _ in range(n_particles - 1):
-            # prepend a slower coordinate: flat index i + out.size * j
-            out = (m[:, None] * out[None, :]).ravel()
-        return cls(n_particles, m.size, out)
+        X = _multisets(n_particles, m.size)
+        run = repeats = 1.0  # prod_c n_c!, as prod_i #{i' <= i: x_i' = x_i}
+        for lo, hi in zip(X[:-1], X[1:]):
+            run = np.where(hi == lo, run + 1, 1.0)
+            repeats = repeats * run
+        return cls(n_particles, m.size, math.factorial(n_particles) / repeats * m[X].prod(axis=0))
 
 
 def _sparse(rows, cols, vals, shape) -> sp.csr_matrix:
@@ -132,8 +123,8 @@ def _sparse(rows, cols, vals, shape) -> sp.csr_matrix:
 
 
 def _pair_factors(model: ModelSpec, M: int):
-    """The two-particle kernel as K = D @ H, both CSR. Pair cells (a, b) and
-    targets (c, d) are indexed a + M*b, as in the state order.
+    """The two-particle kernel of an ordered pair as K = D @ H, both CSR.
+    Pair cells (a, b) and targets (c, d) are indexed a + M*b.
 
     cl: D (M^2 x 2M) takes (a, b) to the pre-noise state (leader, leader
     cell), a fair coin picking i (state a) or j (state M + b); H (2M x M^2)
@@ -162,11 +153,11 @@ def _pair_factors(model: ModelSpec, M: int):
 
 
 def build_transition(model: ModelSpec, n_particles: int, grid_size: int) -> TransitionMatrix:
-    """Assemble the exact one-jump transition matrix.
+    """Assemble the exact one-jump transition matrix on multisets.
 
     Covers the circle models (cl, bdg); the energy sphere of the kac model
-    is not a grid discretization target. Raises, before allocating anything,
-    if the assembly would emit more than ENTRY_CAP matrix entries.
+    is not a grid discretization target. Raises, before listing the states,
+    if the assembly would list more than ENTRY_CAP matrix entries.
 
     Parameters
     ----------
@@ -181,57 +172,44 @@ def build_transition(model: ModelSpec, n_particles: int, grid_size: int) -> Tran
         raise ValueError("grid oracle covers circle models only (cl, bdg)")
     if N < 2:
         raise ValueError("n_particles must be >= 2")
-    n_states = M ** N
+    n_states = math.comb(M + N - 1, N)
     pairs = list(itertools.combinations(range(N), 2))
-    T = 2 * M if model.kind == "cl" else M * M
-    n_entries = n_states * len(pairs) * T
+    n_entries = n_states * len(pairs) * (2 * M if model.kind == "cl" else M * M)
     if n_entries > ENTRY_CAP:
-        raise ValueError(f"state space M^N = {n_states} needs {n_entries} matrix "
+        raise ValueError(f"state space C(M+N-1, N) = {n_states} needs {n_entries} matrix "
                          f"entries, over the cap of {ENTRY_CAP}")
 
+    # the kernel of an unordered pair to an unordered pair: a row for each
+    # pair a <= b, in rank order, with D's rows (a, b) and (b, a) averaged,
+    # which splits bdg's antipodal tie evenly between both quarter turns, and
+    # H's targets (c, d) and (d, c) summed onto c <= d
     D, H = _pair_factors(model, M)
-    # K's columns c + M*d sorted means (d, c) order, in which the state
-    # index base + c*M^i + d*M^j (i < j) increases: every pair's rows come
-    # out sorted, so each pair's CSR is canonical and + merges them linearly
-    K = D @ H
-    K.sort_indices()
-    K.data *= 2.0 / (N * (N - 1))
-    width = np.diff(K.indptr)
-    strides = [(M ** i, M ** j) for i, j in pairs]
-    shifts = [(K.indices % M) * si + (K.indices // M) * sj for si, sj in strides]
-    # rows are merged a block at a time into buffers sized for every pair's
-    # entries, so the whole P is never held twice
-    upper = len(pairs) * (n_states // (M * M)) * K.nnz
-    indices, data = np.empty(upper, dtype=np.int32), np.empty(upper)
-    indptr = np.zeros(n_states + 1, dtype=np.int32)
-    step, nnz = max(1, BLOCK_ENTRIES // (len(pairs) * T)), 0
-    for x0 in range(0, n_states, step):
-        x = np.arange(x0, min(x0 + step, n_states), dtype=np.int32)
-        block = None
-        for (si, sj), shift in zip(strides, shifts):
-            a, b = x // si % M, x // sj % M
-            row_width = width[a + M * b]
-            ptr = np.zeros(x.size + 1, dtype=np.int32)
-            np.cumsum(row_width, out=ptr[1:])
-            # entry e of row x is entry K.indptr[a + M*b] + e - ptr[x - x0] of K
-            k = (np.repeat(K.indptr[a + M * b] - ptr[:-1], row_width)
-                 + np.arange(ptr[-1], dtype=np.int32))
-            cols = np.repeat(x - a * si - b * sj, row_width) + shift[k]
-            part = sp.csr_matrix((K.data[k], cols, ptr), shape=(x.size, n_states))
-            block = part if block is None else block + part
-        indices[nnz:nnz + block.nnz] = block.indices
-        data[nnz:nnz + block.nnz] = block.data
-        indptr[x0 + 1:x0 + x.size + 1] = nnz + block.indptr[1:]
-        nnz += block.nnz
-    indices.resize(nnz, refcheck=False)  # in place: the unused tail was never touched
-    data.resize(nnz, refcheck=False)
-    P = sp.csr_matrix((data, indices, indptr), shape=(n_states, n_states))
-    return TransitionMatrix(n_particles=N, grid_size=M, P=P, D=D, H=H)
+    lo, hi = _multisets(2, M)
+    d, c = np.divmod(np.arange(M * M), M)
+    H = sp.csr_matrix((H.data, (np.minimum(c, d) + M * np.maximum(c, d))[H.indices], H.indptr),
+                      shape=H.shape)
+    K = (0.5 * (D[lo + M * hi] + D[hi + M * lo])) @ H
+    X, P = _multisets(N, M), None
+    for i, j in pairs:
+        # entry e of Kx moves the cells (x_i, x_j) of its state to (c[e], d[e]),
+        # landing in the state whose cells Y holds
+        Kx = K[_rank(X[[i, j]], M)]
+        d, c = np.divmod(Kx.indices, M)
+        Y = [c, d] + [np.repeat(X[k], np.diff(Kx.indptr)) for k in range(N) if k not in (i, j)]
+        for r in range(N):  # sort Y's tuples: N rounds of odd-even transposition
+            for a in range(r % 2, N - 1, 2):
+                Y[a], Y[a + 1] = np.minimum(Y[a], Y[a + 1]), np.maximum(Y[a], Y[a + 1])
+        Kx = sp.csr_matrix((Kx.data, _rank(Y, M), Kx.indptr), shape=(n_states, n_states))
+        Kx.sum_duplicates()
+        P = Kx if P is None else P + Kx
+    P.data *= 2.0 / (N * (N - 1))
+    return TransitionMatrix(n_particles=N, grid_size=M, P=P)
 
 
 def stationary(tm: TransitionMatrix, tol: float = 1e-12,
                stats: dict | None = None) -> JointDensity:
-    """Stationary law by power iteration from the uniform law.
+    """Stationary law by power iteration from the uniform law (on multisets,
+    the multinomial of i.i.d. uniform cells).
 
     Stops once successive iterates differ by less than tol in L1 norm; at return
     the residual ||Q*F - F||_1 is below tol. P^T never lengthens an L1 difference
@@ -241,7 +219,8 @@ def stationary(tm: TransitionMatrix, tol: float = 1e-12,
     """
     if not 0.0 < tol < np.inf:
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
-    d, gap = np.full(tm.n_states, 1.0 / tm.n_states), np.inf
+    uniform = np.full(tm.grid_size, 1.0 / tm.grid_size)
+    d, gap = JointDensity.product(tm.n_particles, uniform).weights, np.inf
     for it in itertools.count(1):
         d_next = tm.rmatvec(d)
         d_next /= d_next.sum()
@@ -254,18 +233,33 @@ def stationary(tm: TransitionMatrix, tol: float = 1e-12,
             raise RuntimeError(f"power iteration stalled at L1 gap {gap:.3e} after {it} steps")
 
 
-def marginal(d: JointDensity, coords: Sequence[int]) -> np.ndarray:
-    """Marginal weights on the given coordinates, axes in the order requested."""
+def check_marginal(n_particles: int, grid_size: int, coords: Sequence[int]) -> None:
+    """Raise ValueError unless coords are k distinct coordinates in 0..N-1 and
+    the marginal on them lists at most ENTRY_CAP entries: N!/(N-k)! ordered
+    draws from each of the C(M+N-1, N) states, and M^k cells."""
     coords = list(coords)
-    if len(set(coords)) != len(coords) or not coords:
-        raise ValueError("coords must be a nonempty set of distinct coordinates")
-    if min(coords) < 0 or max(coords) >= d.n_particles:
-        raise ValueError(f"coords out of range 0..{d.n_particles - 1}")
-    t = d.tensor()
-    drop = tuple(a for a in range(d.n_particles) if a not in coords)
-    out = t.sum(axis=drop)
-    kept = [a for a in range(d.n_particles) if a in coords]
-    return np.transpose(out, [kept.index(c) for c in coords])
+    N, M, k = n_particles, grid_size, len(coords)
+    if not coords or len(set(coords)) != k or min(coords) < 0 or max(coords) >= N:
+        raise ValueError(f"coordinates must be distinct and in 0..{N - 1}, got {coords!r}")
+    n_entries = math.perm(N, k) * math.comb(M + N - 1, N) + M ** k
+    if n_entries > ENTRY_CAP:
+        raise ValueError(f"a marginal on {k} coordinates lists {n_entries} entries, "
+                         f"over the cap of {ENTRY_CAP}")
+
+
+def marginal(d: JointDensity, coords: Sequence[int]) -> np.ndarray:
+    """Marginal weights on the given coordinates, one axis per coordinate.
+
+    The law is exchangeable, so only k = len(coords) matters: it is the law
+    of k particles drawn in order without replacement from each multiset.
+    Raises (``check_marginal``) before allocating.
+    """
+    check_marginal(d.n_particles, d.grid_size, coords)
+    N, M, k = d.n_particles, d.grid_size, len(coords)
+    X = _multisets(N, M)
+    drawn = sum(np.bincount(np.ravel_multi_index(X[list(p)], (M,) * k), d.weights, minlength=M ** k)
+                for p in itertools.permutations(range(N), k))
+    return drawn.reshape((M,) * k) / math.perm(N, k)
 
 
 def pair_difference_profile(pair_weights: np.ndarray) -> np.ndarray:

@@ -468,19 +468,35 @@ class TestOracle:
         solver, P = {}, tm.P
         stationary(tm, stats=solver)
         check_run_sidecar(outs, cfg, "oracle", {
-            "states": 64, "nnz": P.nnz,
+            "states": 36, "nnz": P.nnz,  # C(9, 2) multisets of 2 cells out of 8
             "matrix_bytes": P.data.nbytes + P.indices.nbytes + P.indptr.nbytes,
             "power_iterations": solver["power_iterations"], "final_gap": solver["final_gap"],
         }, {"build_s", "stationary_s", "write_s"})
         assert (outs[0] / "oracle.csv").read_bytes() == (outs[1] / "oracle.csv").read_bytes()
 
     def test_refuses_state_space_beyond_cap(self, tmp_path, capsys):
+        # 54264 multisets, 15 pairs and 32 targets: 26046720 entries
         cfg = write_config(tmp_path, "orc.json", {
-            "model": "cl", "n_particles": 10, "M": 4,
+            "model": "cl", "n_particles": 6, "M": 16,
             "noise": {"kind": "uniform"}})
         assert main(["oracle", "--config", str(cfg),
                      "--out", str(tmp_path / "o"), "--threads", "1"]) != 0
-        assert "1048576" in capsys.readouterr().err
+        assert "26046720" in capsys.readouterr().err
+
+    def test_refuses_marginal_beyond_cap_before_building(self, tmp_path, capsys,
+                                                         monkeypatch):
+        def refuse(*args):
+            raise AssertionError("transition matrix built before validation")
+
+        monkeypatch.setattr("pairjump.cli.build_transition", refuse)
+        # 12!/2! ordered draws of ten particles from each of 455 states
+        cfg = write_config(tmp_path, "orc.json", {
+            "model": "cl", "n_particles": 12, "M": 4, "noise": {"kind": "uniform"},
+            "marginals": [[0], list(range(10))]})
+        assert main(["oracle", "--config", str(cfg),
+                     "--out", str(tmp_path / "o"), "--threads", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "config field 'marginals[1]'" in err and "over the cap" in err
 
     @pytest.mark.parametrize("field,value", [("M", 6), ("M", 1)])
     def test_rejects_bad_sizes_naming_field(self, tmp_path, capsys, monkeypatch,
@@ -567,6 +583,28 @@ class TestNonFiniteConfig:
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o"),
                      "--threads", "1"]) == 2
         assert f"config field '{field}'" in capsys.readouterr().err
+
+
+class TestUnknownFields:
+    """A config field no command reads is a typo or a setting that does not
+    exist: each command refuses it, naming it, before any work."""
+
+    @pytest.mark.parametrize("command,payload,field", [
+        ("simulate", simulate_config(intial={"kind": "uniform"}), "intial"),
+        ("kinetic", {"model": "bdg", "noise": {"kind": "uniform"},
+                     "initial": {"kind": "uniform"}, "t_end": 0.1, "Dt": 0.001}, "Dt"),
+        ("invariant", {"family": "heat_kernel", "n_particles": 10, "M": 64}, "M"),
+        ("oracle", {"model": "cl", "n_particles": 2, "M": 8, "noise": {"kind": "uniform"},
+                    "seed": 1}, "seed"),
+        ("verify", {"scenarios": ["A3"], "replicas": 10}, "replicas"),
+    ], ids=["simulate", "kinetic", "invariant", "oracle", "verify"])
+    def test_refused_naming_field(self, tmp_path, capsys, command, payload, field):
+        cfg = write_config(tmp_path, "cfg.json", payload)
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--out", str(out), "--threads", "1"]) == 2
+        assert capsys.readouterr().err == (f"error: config field '{field}': "
+                                           f"not a field of {command}\n")
+        assert not out.exists()
 
 
 class TestVerify:

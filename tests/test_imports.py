@@ -27,7 +27,7 @@ tm = build_transition(ModelSpec("cl", g), 2, 4)
 from scipy.special import ive
 print(json.dumps({"scipy_at_import": loaded, "fourier": fourier.tolist(),
                   "ive_ratio": [ive(k, 1.5) / ive(0, 1.5) for k in (0, 1, 2)],
-                  "shape": tm.P.shape, "row_sums": (tm.P @ np.ones(16)).tolist()}))
+                  "shape": tm.P.shape, "row_sums": (tm.P @ np.ones(tm.n_states)).tolist()}))
 """
 
 
@@ -39,5 +39,5 @@ def test_import_loads_no_scipy_and_scipy_users_still_work():
     got = json.loads(out.stdout.splitlines()[-1])
     assert got["scipy_at_import"] == []
     assert got["fourier"] == got["ive_ratio"]
-    assert got["shape"] == [16, 16]
+    assert got["shape"] == [10, 10]  # C(5, 2) multisets of 2 cells out of 4
     assert np.max(np.abs(np.asarray(got["row_sums"]) - 1.0)) < 1e-12

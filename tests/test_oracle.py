@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -107,6 +108,36 @@ def sorted_assembly(model, N, M):
     return P
 
 
+def multiset_ranks(N, M):
+    """The multiset of each labelled state (first coordinate fastest), as its
+    index among the multisets in colex order: by the largest cell, then the next."""
+    order = sorted(itertools.combinations_with_replacement(range(M), N), key=lambda t: t[::-1])
+    rank = {t: r for r, t in enumerate(order)}
+    return np.array([rank[tuple(sorted(s // M ** c % M for c in range(N)))]
+                     for s in range(M ** N)])
+
+
+def lump(P, N, M):
+    """A labelled matrix on the M^N states lumped onto multisets: from each
+    multiset, the mean over its orderings of the mass sent into each multiset.
+    For bdg, whose labelled kernel breaks the antipodal tie toward the first of
+    the pair, that mean is the even split between both orders of each pair."""
+    r = multiset_ranks(N, M)
+    U = sp.csr_matrix((np.ones(M ** N), (np.arange(M ** N), r)))
+    return (sp.diags(1.0 / np.bincount(r)) @ (U.T @ sp.csr_matrix(P) @ U)).toarray()
+
+
+def lump_weights(w, N, M):
+    """Labelled weights summed over each multiset's orderings."""
+    return np.bincount(multiset_ranks(N, M), w)
+
+
+def symmetrized(T):
+    """The mean of T over all permutations of its axes."""
+    perms = list(itertools.permutations(range(T.ndim)))
+    return sum(T.transpose(p) for p in perms) / len(perms)
+
+
 OPERATOR_SIZES = [(2, 8), (3, 8), (3, 16), (4, 8)]
 
 
@@ -139,21 +170,17 @@ class TestPairFactors:
 
     def test_rmatvec_rejects_wrong_length(self):
         tm = build_transition(ModelSpec("cl", tabulated_wn(0.5, 4)), 3, 4)
-        with pytest.raises(ValueError, match="64"):
-            tm.rmatvec(np.ones(63))
+        assert tm.n_states == 20  # C(6, 3) multisets, against 4^3 labelled states
+        with pytest.raises(ValueError, match="20"):
+            tm.rmatvec(np.ones(19))
 
     @pytest.mark.parametrize("kind", ["cl", "bdg"])
     @pytest.mark.parametrize("N, M", OPERATOR_SIZES)
     def test_matches_sorted_assembly(self, kind, N, M):
         model = ModelSpec(kind, tabulated_wn(0.5, M))
         P = build_transition(model, N, M).P
-        want = sorted_assembly(model, N, M)
-        assert P.nnz == want.nnz
-        assert P.indices.dtype == np.int32
-        # sum_duplicates leaves want canonical: sorted and unique in each row
-        assert_array_equal(P.indptr, want.indptr)
-        assert_array_equal(P.indices, want.indices)
-        assert_allclose(P.data, want.data, rtol=0, atol=1e-15)
+        assert P.indices.dtype == np.int32 and P.has_canonical_format
+        assert np.abs(P.toarray() - lump(sorted_assembly(model, N, M), N, M)).max() <= 1e-14
 
 
 class TestBuildTransition:
@@ -163,68 +190,79 @@ class TestBuildTransition:
         assert_allclose(rows, 1.0, rtol=0, atol=1e-12)
 
     def test_cl_uniform_doubly_stochastic(self):
+        # the labelled chain is doubly stochastic, so it keeps the uniform
+        # law; on multisets that is the multinomial of i.i.d. uniform cells,
+        # 1/4, 1/2, 1/4 on {0, 0}, {0, 1}, {1, 1}
         tm = build_transition(ModelSpec("cl", UniformNoise()), 2, 2)
-        cols = np.asarray(tm.P.sum(axis=0)).ravel()
-        assert_allclose(cols, 1.0, rtol=0, atol=1e-14)
+        labelled = direct_cl_matrix(2, noise_masses(UniformNoise(), 2))
+        assert_allclose(labelled.sum(axis=0), 1.0, rtol=0, atol=1e-15)
+        assert_allclose(tm.rmatvec([0.25, 0.5, 0.25]), [0.25, 0.5, 0.25], rtol=0, atol=1e-15)
         f = stationary(tm)
-        assert_allclose(f.weights, 0.25, rtol=0, atol=1e-12)
+        assert_allclose(f.weights, [0.25, 0.5, 0.25], rtol=0, atol=1e-12)
 
     def test_cl_matches_direct_kernel(self):
         M = 8
         g = tabulated_wn(0.5, M)
         tm = build_transition(ModelSpec("cl", g), 2, M)
-        want = direct_cl_matrix(M, noise_masses(g, M))
-        assert_allclose(tm.P.toarray(), want, rtol=0, atol=1e-15)
+        want = lump(direct_cl_matrix(M, noise_masses(g, M)), 2, M)
+        assert np.abs(tm.P.toarray() - want).max() <= 1e-14
 
     def test_bdg_matches_direct_kernel(self):
         M = 8
         g = tabulated_wn(0.5, M)
         tm = build_transition(ModelSpec("bdg", g), 2, M)
-        want = direct_bdg_matrix(M, noise_masses(g, M))
-        assert_allclose(tm.P.toarray(), want, rtol=0, atol=1e-15)
+        want = lump(direct_bdg_matrix(M, noise_masses(g, M)), 2, M)
+        assert np.abs(tm.P.toarray() - want).max() <= 1e-14
 
     @pytest.mark.parametrize("kind", ["cl", "bdg"])
     @pytest.mark.parametrize("N, M", [(3, 8), (4, 4)])
     def test_matches_lifted_pair_sum(self, kind, N, M):
         g = tabulated_wn(0.5, M)
         direct = direct_cl_matrix if kind == "cl" else direct_bdg_matrix
-        want = lifted_pair_sum(direct(M, noise_masses(g, M)), N, M)
+        want = lump(lifted_pair_sum(direct(M, noise_masses(g, M)), N, M), N, M)
         tm = build_transition(ModelSpec(kind, g), N, M)
-        assert_allclose(tm.P.toarray(), want, rtol=0, atol=1e-15)
+        assert np.abs(tm.P.toarray() - want).max() <= 1e-14
 
     def test_preserves_symmetry(self):
-        M, N = 16, 3
-        tm = build_transition(ModelSpec("cl", tabulated_wn(0.5, M)), N, M)
-        rng = np.random.default_rng(1)
-        T = rng.random((M, M, M))
-        T = T + T.transpose(1, 0, 2) + T.transpose(2, 1, 0) + \
-            T.transpose(0, 2, 1) + T.transpose(1, 2, 0) + T.transpose(2, 0, 1)
-        w = T.ravel(order="F")
-        d = JointDensity(N, M, w / w.sum())
-        out = (tm.P.T @ d.weights)
-        O = out.reshape((M, M, M), order="F")
-        for perm in [(1, 0, 2), (2, 1, 0), (0, 2, 1), (1, 2, 0), (2, 0, 1)]:
-            assert_allclose(O, O.transpose(perm), rtol=0, atol=1e-14)
+        # Kemeny-Snell: one labelled jump of an exchangeable law, lumped, is
+        # one jump of the lumped chain. bdg's labelled kernel breaks the
+        # antipodal tie toward the first of the pair, yet keeps exchangeable
+        # laws exchangeable: its lumping splits the tie evenly
+        M, N = 8, 3
+        w = symmetrized(np.random.default_rng(1).random((M,) * N)).ravel(order="F")
+        w /= w.sum()
+        for kind in ("cl", "bdg"):
+            model = ModelSpec(kind, tabulated_wn(0.5, M))
+            out = (sorted_assembly(model, N, M).T @ w).reshape((M,) * N, order="F")
+            assert np.abs(out - symmetrized(out)).max() <= 1e-17
+            tm = build_transition(model, N, M)
+            want = lump_weights(out.ravel(order="F"), N, M)
+            assert np.abs(tm.rmatvec(lump_weights(w, N, M)) - want).max() <= 1e-15
 
     def test_preserves_mass_and_positivity(self):
         M = 8
         tm = build_transition(ModelSpec("bdg", tabulated_wn(0.3, M)), 2, M)
         rng = np.random.default_rng(2)
-        w = rng.random(M * M)
+        w = rng.random(tm.n_states)
         w /= w.sum()
         out = tm.P.T @ w
         assert out.sum() == pytest.approx(1.0, abs=1e-12)
         assert out.min() >= 0.0
 
     def test_state_cap(self):
-        with pytest.raises(ValueError, match="1048576"):
-            build_transition(ModelSpec("cl", UniformNoise()), 10, 4)
+        # 54264 multisets of 6 particles on 16 cells, 15 pairs, 32 targets each
+        with pytest.raises(ValueError, match="26046720"):
+            build_transition(ModelSpec("cl", UniformNoise()), 6, 16)
 
-    def test_entry_cap_refuses_bdg_before_assembly(self):
-        # 16^4 = 65536 states is a small state space, but bdg would emit
-        # 16^4 * 6 pairs * 16^2 = 1.0e8 entries (about 2 GB to assemble)
-        with pytest.raises(ValueError, match="100663296"):
-            build_transition(ModelSpec("bdg", UniformNoise()), 4, 16)
+    def test_entry_cap_refuses_bdg_before_assembly(self, monkeypatch):
+        # C(20, 5) = 15504 states is small, but bdg lists 15504 * 10 pairs *
+        # 16^2 targets = 4.0e7 entries
+        def unlisted(*args):
+            raise AssertionError("states listed before the cap was checked")
+
+        monkeypatch.setattr(oracle, "_multisets", unlisted)
+        with pytest.raises(ValueError, match="39690240"):
+            build_transition(ModelSpec("bdg", UniformNoise()), 5, 16)
 
     def test_kac_rejected(self):
         with pytest.raises(ValueError):
@@ -235,7 +273,8 @@ class TestStationary:
     def test_uniform_noise_gives_uniform(self):
         tm = build_transition(ModelSpec("cl", UniformNoise()), 3, 8)
         f = stationary(tm)
-        assert_allclose(f.weights, 1.0 / 8 ** 3, rtol=0, atol=1e-12)
+        uniform = JointDensity.product(3, np.full(8, 1.0 / 8))
+        assert_allclose(f.weights, uniform.weights, rtol=0, atol=1e-12)
 
     def test_residual_below_tol(self):
         tm = build_transition(ModelSpec("cl", tabulated_wn(0.5, 16)), 3, 16)
@@ -274,7 +313,7 @@ class TestStationary:
         with pytest.raises(RuntimeError, match="stalled at L1 gap") as refused:
             stationary(tm, tol=1e-300)
         assert f"after {len(seen)} steps" in str(refused.value)
-        assert_array_equal(seen[0], np.full(tm.n_states, 1.0 / tm.n_states))
+        assert_array_equal(seen[0], JointDensity.product(4, np.full(8, 1.0 / 8)).weights)
         gaps = [np.abs(b - a).sum() for a, b in zip(seen, seen[1:])]
         assert all(later < earlier for earlier, later in zip(gaps, gaps[1:]))
         assert gaps[-1] < 1e-14
@@ -300,6 +339,17 @@ class TestStationary:
         # A1's check at N=4: the exact stationary pair correlation equals
         # the closed form up to the power iteration's tolerance
         M, N = 16, 4
+        g = tabulated_wn(0.5, M)
+        f = stationary(build_transition(ModelSpec("cl", g), N, M))
+        prof = pair_difference_profile(marginal(f, [0, 1]))
+        theta = np.arange(M) * (2 * np.pi / M)
+        emp = (np.exp(-1j * np.outer(np.arange(5), theta)) @ prof).real
+        closed = pair_correlation_closed(g, N, 4).fhat
+        assert np.abs(emp[1:] - closed[1:]).max() < 1e-9
+
+    def test_pair_correlation_at_five_particles(self):
+        # beyond the M^N labelled chain's reach (335M entries): 15504 multisets
+        M, N = 16, 5
         g = tabulated_wn(0.5, M)
         f = stationary(build_transition(ModelSpec("cl", g), N, M))
         prof = pair_difference_profile(marginal(f, [0, 1]))
@@ -381,22 +431,37 @@ class TestMarginal:
         assert_allclose(marginal(d, [0, 2]), np.outer(m, m), rtol=0, atol=1e-14)
 
     def test_marginal_over_all_is_identity(self):
-        M = 4
+        # on all coordinates, the labelled law: each multiset's mass spread
+        # evenly over its orderings
+        M, N = 4, 3
         rng = np.random.default_rng(4)
-        w = rng.random(M ** 3)
+        w = rng.random(math.comb(M + N - 1, N))
         w /= w.sum()
-        d = JointDensity(3, M, w)
-        assert_allclose(marginal(d, [0, 1, 2]), d.tensor(), rtol=0, atol=0)
+        rank = multiset_ranks(N, M).reshape((M,) * N, order="F")
+        orderings = np.bincount(rank.ravel())
+        want = w[rank] / orderings[rank]
+        assert_allclose(marginal(JointDensity(N, M, w), [0, 1, 2]), want, rtol=0, atol=1e-17)
 
     def test_order_respected(self):
         M = 4
         rng = np.random.default_rng(5)
-        w = rng.random(M ** 2)
+        w = rng.random(math.comb(M + 1, 2))
         w /= w.sum()
         d = JointDensity(2, M, w)
         a = marginal(d, [0, 1])
         b = marginal(d, [1, 0])
-        assert_allclose(a, b.T, rtol=0, atol=0)
+        assert_allclose(a, b.T, rtol=0, atol=1e-17)
+
+    def test_depends_only_on_how_many_coordinates(self):
+        M = 8
+        tm = build_transition(ModelSpec("bdg", tabulated_wn(0.5, M)), 4, M)
+        f = stationary(tm)
+        for k in (1, 2, 3):
+            want = marginal(f, list(range(k)))
+            for coords in itertools.permutations(range(4), k):
+                assert_array_equal(marginal(f, coords), want)
+        pair = marginal(f, [0, 1])
+        assert_allclose(pair, pair.T, rtol=0, atol=1e-17)
 
     def test_normalization_preserved(self):
         M = 8
@@ -412,6 +477,17 @@ class TestMarginal:
             marginal(d, [0, 0])
         with pytest.raises(ValueError):
             marginal(d, [2])
+
+    def test_cap_refuses_before_listing_states(self, monkeypatch):
+        # 12!/2! ordered draws of 10 from each of the 455 states
+        d = JointDensity.product(12, np.full(4, 0.25))
+
+        def unlisted(*args):
+            raise AssertionError("states listed before the cap was checked")
+
+        monkeypatch.setattr(oracle, "_multisets", unlisted)
+        with pytest.raises(ValueError, match="over the cap"):
+            marginal(d, range(10))
 
 
 def generator(tm, d):
@@ -431,7 +507,7 @@ class TestGenerator:
         M = 8
         tm = build_transition(ModelSpec("bdg", tabulated_wn(0.3, M)), 2, M)
         rng = np.random.default_rng(6)
-        w = rng.random(M * M)
+        w = rng.random(tm.n_states)
         w /= w.sum()
         out = generator(tm, JointDensity(2, M, w))
         assert abs(out.sum()) < 1e-12
@@ -443,39 +519,42 @@ class TestGenerator:
         M = 8
         tm = build_transition(ModelSpec("cl", UniformNoise()), 2, M)
         rng = np.random.default_rng(7)
+        uniform = JointDensity.product(2, np.full(M, 1.0 / M))
         for _ in range(5):
-            w = rng.random(M * M)
+            w = rng.random(tm.n_states)
             w /= w.sum()
             for _ in range(100):
                 w = tm.rmatvec(w)
             f = JointDensity(2, M, w)
-            assert_allclose(f.weights, 1.0 / (M * M), rtol=0, atol=1e-12)
+            assert_allclose(f.weights, uniform.weights, rtol=0, atol=1e-12)
             assert np.abs(generator(tm, f)).sum() < 2 * 1e-12
 
 
 class TestJointDensity:
-    def test_tensor_layout(self):
-        # weights are flattened with the first coordinate fastest
-        M = 4
-        w = np.zeros(16)
-        w[0 + M * 1] = 1.0  # particle 0 in cell 0, particle 1 in cell 1
-        d = JointDensity(2, M, w)
-        assert d.tensor()[0, 1] == 1.0
+    def test_states_in_colex_order(self):
+        # by the largest cell, then the next: {0,0}, {0,1}, {1,1}, {0,2}, ...
+        X = oracle._multisets(2, 3)
+        assert X.T.tolist() == [[0, 0], [0, 1], [1, 1], [0, 2], [1, 2], [2, 2]]
+        assert_array_equal(oracle._rank(X, 3), np.arange(6))
 
     def test_product_layout(self):
+        # the multinomial, in rank order
         m = np.array([0.25, 0.75, 0.0, 0.0])
         d = JointDensity.product(2, m)
-        assert_allclose(d.tensor(), np.outer(m, m), rtol=0, atol=0)
+        want = np.zeros(10)
+        want[:3] = [0.25 ** 2, 2 * 0.25 * 0.75, 0.75 ** 2]  # {0,0}, {0,1}, {1,1}
+        assert_allclose(d.weights, want, rtol=0, atol=0)
+        assert_allclose(marginal(d, [0, 1]), np.outer(m, m), rtol=0, atol=1e-17)
 
     def test_rejects_bad_weights(self):
         with pytest.raises(ValueError):
-            JointDensity(2, 4, np.full(16, 1.0))  # sums to 16
+            JointDensity(2, 4, np.full(10, 1.0))  # sums to 10
         with pytest.raises(ValueError):
-            JointDensity(2, 4, np.full(15, 1.0 / 15))  # wrong size
+            JointDensity(2, 4, np.full(16, 1.0 / 16))  # M^N entries, not C(M+N-1, N)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_weights(self, bad):
-        w = np.full(16, 1.0 / 16)
+        w = np.full(10, 1.0 / 10)
         w[5] = bad
         with pytest.raises(ValueError, match="finite"):
             JointDensity(2, 4, w)
