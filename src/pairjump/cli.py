@@ -239,7 +239,7 @@ def cmd_kinetic(cfg, out: Path, config_hash: str, workers: int) -> int:
     try:
         kcfg = KineticConfig(dt=dt)
     except ValueError as exc:
-        raise ConfigError(f"config: {exc}") from exc
+        raise ConfigError(f"config field 'dt': {exc}") from exc
 
     t0 = time.perf_counter()
     rows, fields = [], {}

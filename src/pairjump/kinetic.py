@@ -98,8 +98,8 @@ def bisector_tables(M: int):
     Arc conventions match the particle engines' bdg update, including the
     antipodal case (a quarter turn counterclockwise from the first cell).
 
-    Used per pair by ``oracle`` and the O(M^3) gain quadrature (24 M^2 bytes);
-    the solver applies the same rule by diagonal sums and builds no table.
+    Read by ``oracle`` (the seed cell of a departing pair) and the O(M^3) gain
+    quadrature (24 M^2 bytes); the solver applies the rule by diagonal sums.
     """
     d = (np.arange(M)[None, :] - np.arange(M)[:, None]) % M
     signed = np.where(d <= M // 2, d, d - M).astype(float)

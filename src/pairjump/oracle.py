@@ -3,14 +3,15 @@
 The circle is replaced by the M-point cyclic grid, which turns a model into
 a finite Markov chain whose one-jump transition matrix can be assembled
 exactly (noise tabulated to cell masses, midpoints via the shared bisector
-table). A jump moves one of the N(N-1)/2 pairs, picked uniformly as in Kac's
-model, by one two-particle kernel K = D @ H (``_pair_factors``: D takes the
-pair to a pre-noise state, H applies the noise). The chain commutes with the
-permutations of the particles, so it lumps exactly onto their orbits (Kemeny
-and Snell, *Finite Markov Chains*, 1960), and every law served here is
-exchangeable. So a state is one of the C(M+N-1, N) multisets of cells, an
-ascending tuple x_0 <= ... <= x_{N-1} numbered by its colex rank
-sum_i C(x_i + i, i + 1), and its weight is the mass of all its orderings.
+table). The chain commutes with the permutations of the particles, so it
+lumps exactly onto their orbits (Kemeny and Snell, *Finite Markov Chains*,
+1960), and every law served here is exchangeable. So a state is one of the
+C(M+N-1, N) multisets of cells, an ascending tuple x_0 <= ... <= x_{N-1}
+numbered by its colex rank sum_i C(x_i + i, i + 1), and its weight is the
+mass of all its orderings. A jump moves a uniformly picked pair, as in Kac's
+model: two particles leave the multiset and two come in, so P is a product
+of four sparse factors that each take one particle out or put one in, with
+a seed cell between them (cl: the leader's cell; bdg: the pair's midpoint).
 The stationary law and the generator N*(Q* - I) apply P^T
 (``TransitionMatrix.rmatvec``). All of it is plain sparse linear algebra,
 independent of the event-driven simulator, which is what makes this a
@@ -42,25 +43,25 @@ __all__ = [
     "pair_difference_profile",
 ]
 
-# Cap on the entries build_transition lists (C(M+N-1, N) states times N(N-1)/2
-# pairs times 2M for cl, M^2 for bdg) and a marginal lists (``check_marginal``).
-# Peak resident memory of the build: up to 50 bytes per entry above the
-# interpreter's 50 MB (cl N=2); the admitted shape that peaks highest is bdg
-# N=2, M=64 at 0.25 GB, while 2^25 would admit cl N=2, M=256 at 0.83 GB.
-ENTRY_CAP = 2 ** 24
+# Caps on the entries a build stores (``_stored_entries``; by ru_maxrss, 5 to 17 bytes
+# each over 50 MB, cl N=6, M=16 peaking highest at 0.20 GB) and a marginal lists.
+BUILD_CAP, ENTRY_CAP = 12 * 2 ** 20, 2 ** 24
 
 
 def _multisets(N: int, M: int) -> np.ndarray:
     """Every N-multiset of the M cells, ascending down a column: X[i, r] is
-    the i-th smallest cell of the state of rank r."""
-    X = np.array(list(itertools.combinations_with_replacement(range(M), N)), dtype=np.int32).T
-    return X[:, np.lexsort(X)]  # the last row is the primary key: colex order
+    the i-th smallest cell of the state of rank r (shape (0, 1) for N = 0)."""
+    n = math.comb(M + N - 1, N)
+    flat = itertools.chain.from_iterable(itertools.combinations_with_replacement(range(M), N))
+    X = np.fromiter(flat, dtype=np.int32, count=n * N).reshape(n, N).T
+    return X[:, np.argsort(_rank(X, M))]
 
 
-def _rank(X, M: int) -> np.ndarray:
-    """Colex rank sum_i C(x_i + i, i + 1) of the ascending tuples with cells X[i]."""
+def _rank(X, M: int, place: int = 0):
+    """Colex rank sum_i C(x_i + i, i + 1) of ascending tuples, or its share from
+    places i >= place, whose cells there are the rows of X (any iterable)."""
     rank = 0
-    for i, x in enumerate(X):
+    for i, x in enumerate(X, place):
         rank = rank + np.array([math.comb(v + i, i + 1) for v in range(M)], dtype=np.int32)[x]
     return rank
 
@@ -114,42 +115,65 @@ class JointDensity:
         return cls(n_particles, m.size, math.factorial(n_particles) / repeats * m[X].prod(axis=0))
 
 
-def _sparse(rows, cols, vals, shape) -> sp.csr_matrix:
-    """CSR from (row, column, value) triplets, leaving out zero values."""
+def _take_out(k: int, M: int, n_seeds: int, rule) -> sp.csr_matrix:
+    """Factor taking one of k particles out, each with weight 1/k: row r * n_seeds
+    + a (the state of rank r, seed a) goes to column rank(rest) * M + m with weight
+    w for each (m, w) in rule(a, b), b the cell out; equal cells merge."""
     import scipy.sparse as sp
 
-    keep = vals != 0.0
-    return sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=shape)
+    X, n_rows, out = _multisets(k, M), math.comb(M + k - 1, k) * n_seeds, 0
+    rest = np.zeros(X.shape[1], dtype=np.int32) + _rank(X[1:], M)  # without place 0
+    for j in range(k):
+        if j:  # the gap moves up: x_{j-1} takes place j-1 back from x_j
+            rest = rest + _rank(X[j - 1:j], M, j - 1) - _rank(X[j:j + 1], M, j - 1)
+        for m, w in rule(np.arange(n_seeds), X[j][:, None]):
+            cols, vals = np.broadcast_arrays(rest[:, None] * M + m, np.divide(w, k))
+            out = out + sp.csr_matrix((vals.ravel(), cols.ravel(), np.arange(n_rows + 1)),
+                                      shape=(n_rows, math.comb(M + k - 2, k - 1) * M))
+    return out
 
 
-def _pair_factors(model: ModelSpec, M: int):
-    """The two-particle kernel of an ordered pair as K = D @ H, both CSR.
-    Pair cells (a, b) and targets (c, d) are indexed a + M*b.
-
-    cl: D (M^2 x 2M) takes (a, b) to the pre-noise state (leader, leader
-    cell), a fair coin picking i (state a) or j (state M + b); H (2M x M^2)
-    puts the follower on leader + z with probability g[z]. bdg: D (M^2 x M)
-    deposits the midpoint as ``bisector_tables`` does; H (M x M^2) moves both
-    to it plus independent noise, H[m, (c, d)] = g[c - m] * g[d - m].
-    """
+def _put_in(k: int, M: int, h: np.ndarray, keep_seed: bool) -> sp.csr_matrix:
+    """Factor putting one particle into the k-multisets on cell m + z with
+    probability h[z], m the seed: row r * M + m (the state of rank r) goes to the
+    state with the new cell, times M plus m if keep_seed. One compare-exchange
+    pass carries the new cell c up to its place, ranking as it goes."""
     import scipy.sparse as sp
 
+    m, z = np.arange(M)[:, None], np.flatnonzero(h)
+    rank, c = 0, (m + z) % M
+    for i, x in enumerate(_multisets(k, M)[:, :, None, None]):
+        rank, c = rank + _rank([np.minimum(x, c)], M, i), np.maximum(x, c)
+    rank, n_cols = rank + _rank([c], M, k), math.comb(M + k, k + 1)
+    if keep_seed:
+        rank, n_cols = rank * M + m, n_cols * M
+    return sp.csr_matrix((np.broadcast_to(h[z], rank.shape).ravel(), rank.ravel(),
+                          np.arange(0, rank.size + 1, z.size)), shape=(rank.size // z.size, n_cols))
+
+
+def _factors(model: ModelSpec, N: int, M: int) -> list:
+    """P's factors as they apply: a leaves, then b, and m is a (cl: a leads) or the
+    midpoint of (a, b) (bdg: both orders occur, so the antipodal tie splits evenly);
+    then one particle lands on m (cl) or m + z (bdg), and one on m + z."""
     g = model.noise.tabulate(M).masses
     if model.kind == "cl":
-        b, a = np.divmod(np.arange(M * M), M)
-        D = _sparse(np.tile(np.arange(M * M), 2), np.concatenate([a, M + b]),
-                    np.full(2 * M * M, 0.5), (M * M, 2 * M))
-        # row s = a (i leads): (a, a + z); row s = M + b (j leads): (b + z, b)
-        lead, z = np.divmod(np.arange(M * M), M)
-        cols = np.concatenate([lead + M * ((lead + z) % M), (lead + z) % M + M * lead])
-        H = _sparse(np.arange(2 * M * M) // M, cols, np.tile(g, 2 * M), (2 * M, M * M))
-        return D, H
-    lo, hi, w_hi = (t.ravel(order="F") for t in bisector_tables(M))
-    D = _sparse(np.tile(np.arange(M * M), 2), np.concatenate([lo, hi]),
-                np.concatenate([1.0 - w_hi, w_hi]), (M * M, M))
-    G = g[(np.arange(M)[None, :] - np.arange(M)[:, None]) % M]  # G[m, c] = g[c - m]
-    H = sp.csr_matrix((G[:, :, None] * G[:, None, :]).reshape(M, M * M))  # [m, d, c]
-    return D, H
+        rule, first = (lambda a, b: [(a, 1.0)]), np.eye(M)[0]
+    else:
+        lo, hi, w_hi = bisector_tables(M)
+        rule, first = (lambda a, b: [(lo[a, b], 1.0 - w_hi[a, b]), (hi[a, b], w_hi[a, b])]), g
+    return [_take_out(N, M, 1, lambda a, b: [(b, 1.0)]), _take_out(N - 1, M, M, rule),
+            _put_in(N - 2, M, first, True), _put_in(N - 1, M, g, False)]
+
+
+def _stored_entries(kind: str, N: int, M: int) -> int:
+    """Entries the build stores: the listed states' cells, the factors' entries and a
+    bound on P's nonzeros (cl moves one particle anywhere; bdg replaces two)."""
+    n_out, n_rest, n_pair = (math.comb(M + N - 1 - i, N - i) for i in range(3))
+    pairs = math.comb(M + 1, 2)
+    fan, branches, row = ((1, 1, min(N, M) * M) if kind == "cl"
+                          else (M, 2, min(math.comb(N, 2), pairs) * pairs))
+    return (n_out * (N + min(N, M) + min(n_out, row)) + n_pair * M * fan
+            + n_rest * M * (min(N - 1, M) * branches + M))
 
 
 def build_transition(model: ModelSpec, n_particles: int, grid_size: int) -> TransitionMatrix:
@@ -157,7 +181,7 @@ def build_transition(model: ModelSpec, n_particles: int, grid_size: int) -> Tran
 
     Covers the circle models (cl, bdg); the energy sphere of the kac model
     is not a grid discretization target. Raises, before listing the states,
-    if the assembly would list more than ENTRY_CAP matrix entries.
+    if the build would store more than BUILD_CAP entries (``_stored_entries``).
 
     Parameters
     ----------
@@ -165,44 +189,19 @@ def build_transition(model: ModelSpec, n_particles: int, grid_size: int) -> Tran
     n_particles, grid_size : int
         N >= 2 particles on the M-point grid.
     """
-    import scipy.sparse as sp
-
     N, M = n_particles, grid_size
     if model.kind == "kac":
         raise ValueError("grid oracle covers circle models only (cl, bdg)")
     if N < 2:
         raise ValueError("n_particles must be >= 2")
-    n_states = math.comb(M + N - 1, N)
-    pairs = list(itertools.combinations(range(N), 2))
-    n_entries = n_states * len(pairs) * (2 * M if model.kind == "cl" else M * M)
-    if n_entries > ENTRY_CAP:
-        raise ValueError(f"state space C(M+N-1, N) = {n_states} needs {n_entries} matrix "
-                         f"entries, over the cap of {ENTRY_CAP}")
+    n_entries = _stored_entries(model.kind, N, M)
+    if n_entries > BUILD_CAP:
+        raise ValueError(f"state space C(M+N-1, N) = {math.comb(M + N - 1, N)} needs "
+                         f"{n_entries} stored entries, over the cap of {BUILD_CAP}")
 
-    # the kernel of an unordered pair to an unordered pair: a row for each
-    # pair a <= b, in rank order, with D's rows (a, b) and (b, a) averaged,
-    # which splits bdg's antipodal tie evenly between both quarter turns, and
-    # H's targets (c, d) and (d, c) summed onto c <= d
-    D, H = _pair_factors(model, M)
-    lo, hi = _multisets(2, M)
-    d, c = np.divmod(np.arange(M * M), M)
-    H = sp.csr_matrix((H.data, (np.minimum(c, d) + M * np.maximum(c, d))[H.indices], H.indptr),
-                      shape=H.shape)
-    K = (0.5 * (D[lo + M * hi] + D[hi + M * lo])) @ H
-    X, P = _multisets(N, M), None
-    for i, j in pairs:
-        # entry e of Kx moves the cells (x_i, x_j) of its state to (c[e], d[e]),
-        # landing in the state whose cells Y holds
-        Kx = K[_rank(X[[i, j]], M)]
-        d, c = np.divmod(Kx.indices, M)
-        Y = [c, d] + [np.repeat(X[k], np.diff(Kx.indptr)) for k in range(N) if k not in (i, j)]
-        for r in range(N):  # sort Y's tuples: N rounds of odd-even transposition
-            for a in range(r % 2, N - 1, 2):
-                Y[a], Y[a + 1] = np.minimum(Y[a], Y[a + 1]), np.maximum(Y[a], Y[a + 1])
-        Kx = sp.csr_matrix((Kx.data, _rank(Y, M), Kx.indptr), shape=(n_states, n_states))
-        Kx.sum_duplicates()
-        P = Kx if P is None else P + Kx
-    P.data *= 2.0 / (N * (N - 1))
+    out1, out2, in1, in2 = _factors(model, N, M)
+    P = out1 @ out2 @ in1 @ in2
+    P.sort_indices()
     return TransitionMatrix(n_particles=N, grid_size=M, P=P)
 
 

@@ -371,7 +371,7 @@ class TestKinetic:
             "initial": {"kind": "uniform"}, "t_end": 0.1, "dt": 0.5})
         assert main(["kinetic", "--config", str(cfg),
                      "--out", str(tmp_path / "o"), "--threads", "1"]) != 0
-        assert "dt" in capsys.readouterr().err
+        assert "config field 'dt':" in capsys.readouterr().err
 
     @pytest.mark.parametrize("field,value", [("M", 100), ("M", 1), ("K", 0),
                                              ("rate_factor", 1.0)])
@@ -475,13 +475,13 @@ class TestOracle:
         assert (outs[0] / "oracle.csv").read_bytes() == (outs[1] / "oracle.csv").read_bytes()
 
     def test_refuses_state_space_beyond_cap(self, tmp_path, capsys):
-        # 54264 multisets, 15 pairs and 32 targets: 26046720 entries
+        # 170544 multisets of 7 cells out of 16: 40837536 stored entries
         cfg = write_config(tmp_path, "orc.json", {
-            "model": "cl", "n_particles": 6, "M": 16,
+            "model": "cl", "n_particles": 7, "M": 16,
             "noise": {"kind": "uniform"}})
         assert main(["oracle", "--config", str(cfg),
                      "--out", str(tmp_path / "o"), "--threads", "1"]) != 0
-        assert "26046720" in capsys.readouterr().err
+        assert "40837536" in capsys.readouterr().err
 
     def test_refuses_marginal_beyond_cap_before_building(self, tmp_path, capsys,
                                                          monkeypatch):

@@ -13,7 +13,9 @@ from pairjump.kinetic import bisector_tables
 from pairjump.models import ModelSpec
 from pairjump.oracle import (
     JointDensity,
-    _pair_factors,
+    _factors,
+    _put_in,
+    _stored_entries,
     build_transition,
     marginal,
     pair_difference_profile,
@@ -141,25 +143,58 @@ def symmetrized(T):
 OPERATOR_SIZES = [(2, 8), (3, 8), (3, 16), (4, 8)]
 
 
+def colex_multisets(k, M):
+    """The k-multisets of M cells as ascending tuples, in colex order."""
+    return sorted(itertools.combinations_with_replacement(range(M), k), key=lambda t: t[::-1])
+
+
 class TestPairFactors:
+    # a jump is two particles out and two in: P = out1 @ out2 @ in1 @ in2
     @pytest.mark.parametrize("kind", ["cl", "bdg"])
     def test_product_is_the_dense_kernel(self, kind):
+        # at N = 2 the rest between the factors is the one empty multiset
         M = 8
         g = tabulated_wn(0.5, M)
-        D, H = _pair_factors(ModelSpec(kind, g), M)
+        out1, out2, in1, in2 = _factors(ModelSpec(kind, g), 2, M)
+        assert out2.shape == (M * M, M) and in1.shape == (M, M * M)
         direct = direct_cl_matrix if kind == "cl" else direct_bdg_matrix
-        assert_array_equal((D @ H).toarray(), direct(M, noise_masses(g, M)))
+        want = lump(direct(M, noise_masses(g, M)), 2, M)
+        assert np.abs((out1 @ out2 @ in1 @ in2).toarray() - want).max() <= 1e-14
 
     @pytest.mark.parametrize("kind", ["cl", "bdg"])
     @pytest.mark.parametrize("M", [16, 64])
     def test_factor_rows_and_nnz(self, kind, M):
-        # stochastic factors of O(M^2) and O(M^3) entries; K has up to M^4
-        D, H = _pair_factors(ModelSpec(kind, tabulated_wn(0.5, M)), M)
-        assert D.shape[0] == H.shape[1] == M * M
-        assert D.nnz <= 2 * M * M
-        assert H.nnz <= (2 * M * M if kind == "cl" else M ** 3)
-        assert_allclose(np.asarray(D.sum(axis=1)).ravel(), 1.0, rtol=0, atol=0)
-        assert_allclose(np.asarray(H.sum(axis=1)).ravel(), 1.0, rtol=0, atol=1e-15)
+        # stochastic factors; with P they store no more than the cap counts
+        N = 3 if M == 16 else 2  # N = 3 on 64 cells is over the cap
+        factors = _factors(ModelSpec(kind, tabulated_wn(0.5, M)), N, M)
+        for f in factors:
+            assert_allclose(np.asarray(f.sum(axis=1)).ravel(), 1.0, rtol=0, atol=1e-15)
+        P = factors[0] @ factors[1] @ factors[2] @ factors[3]
+        n_states = math.comb(M + N - 1, N)
+        assert n_states * N + sum(f.nnz for f in factors) + P.nnz <= _stored_entries(kind, N, M)
+
+    @pytest.mark.parametrize("M", [4, 8])
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_insertion_ranks_like_sorting(self, k, M):
+        # the compare-exchange pass and _rank against sorted() and the colex index
+        h = np.random.default_rng(k * M).random(M)
+        rank = {t: r for r, t in enumerate(colex_multisets(k + 1, M))}
+        rows = colex_multisets(k, M)
+        want = np.zeros((len(rows) * M, len(rank)))
+        seeded = np.zeros((len(rows) * M, len(rank) * M))
+        for r, t in enumerate(rows):
+            for m in range(M):
+                for z in range(M):
+                    y = rank[tuple(sorted(t + ((m + z) % M,)))]
+                    want[r * M + m, y] += h[z]
+                    seeded[r * M + m, y * M + m] += h[z]
+        assert_array_equal(_put_in(k, M, h, False).toarray(), want)
+        assert_array_equal(_put_in(k, M, h, True).toarray(), seeded)
+
+    def test_empty_multiset(self):
+        X = oracle._multisets(0, 5)
+        assert X.shape == (0, 1)  # one state, with no cells
+        assert oracle._rank(X, 5) == 0
 
     @pytest.mark.parametrize("kind", ["cl", "bdg"])
     @pytest.mark.parametrize("N, M", OPERATOR_SIZES)
@@ -250,19 +285,29 @@ class TestBuildTransition:
         assert out.min() >= 0.0
 
     def test_state_cap(self):
-        # 54264 multisets of 6 particles on 16 cells, 15 pairs, 32 targets each
-        with pytest.raises(ValueError, match="26046720"):
-            build_transition(ModelSpec("cl", UniformNoise()), 6, 16)
+        # 170544 multisets of 7 particles on 16 cells: their cells, the factors
+        # and up to 7 * 16 nonzeros a row store 40.8M entries
+        with pytest.raises(ValueError, match="40837536"):
+            build_transition(ModelSpec("cl", UniformNoise()), 7, 16)
 
     def test_entry_cap_refuses_bdg_before_assembly(self, monkeypatch):
-        # C(20, 5) = 15504 states is small, but bdg lists 15504 * 10 pairs *
-        # 16^2 targets = 4.0e7 entries
+        # C(20, 5) = 15504 states is small, but each row of P may hold 10 pairs
+        # times 136 unordered target pairs: 22.9M stored entries
         def unlisted(*args):
             raise AssertionError("states listed before the cap was checked")
 
         monkeypatch.setattr(oracle, "_multisets", unlisted)
-        with pytest.raises(ValueError, match="39690240"):
+        with pytest.raises(ValueError, match="22937760"):
             build_transition(ModelSpec("bdg", UniformNoise()), 5, 16)
+
+    @pytest.mark.parametrize("kind", ["cl", "bdg"])
+    def test_cap_admits_every_shape_the_pair_listing_did(self, kind):
+        # the former cap: states * pairs * (2M for cl, M^2 for bdg) <= 2^24
+        for M in (2, 4, 8, 16, 32, 64, 128):
+            targets, N = 2 * M if kind == "cl" else M * M, 2
+            while math.comb(M + N - 1, N) * math.comb(N, 2) * targets <= 2 ** 24:
+                assert _stored_entries(kind, N, M) <= oracle.BUILD_CAP, (N, M)
+                N += 1
 
     def test_kac_rejected(self):
         with pytest.raises(ValueError):
