@@ -258,9 +258,9 @@ def snapshots_layers(src: Path) -> dict:
 # ---------------------------------------------------------------------------
 # oracle: ``build_transition`` and ``stationary`` at perfbench's ``reference``
 # cases, each on a fresh matrix as ``reference`` runs them (a warm-up round
-# first), the state count, the process's peak resident memory, and the one-
-# and two-particle stationary marginals, which stay comparable across changes
-# of the state space
+# first), the state count, the peak resident memory of a fresh process per
+# case, and the one- and two-particle stationary marginals, which stay
+# comparable across changes of the state space
 
 ORACLE_CASES = tuple((kind, n, m) for kind in ("cl", "bdg") for n, m in ((3, 16), (4, 8)))
 ORACLE_RUNS = 5
@@ -279,22 +279,35 @@ def _oracle_solve(circle, models, oracle, kind, n, m) -> tuple:
     return t1 - t0, t2 - t1, stats["power_iterations"], tm.n_states, tm.P.nnz, law
 
 
-def oracle_layers(src: Path) -> dict:
-    """Per-case build and stationary times, iterations, states and nnz for the
-    pairjump in src, and the peak resident memory after all of them."""
-    sys.path.insert(0, str(src))
+ORACLE_PROBE = """
+import json, sys
+sys.path.insert(1, sys.argv[1])
+import topics
+print(json.dumps(topics.oracle_case(sys.argv[2], int(sys.argv[3]), int(sys.argv[4]))))
+"""
+
+
+def oracle_case(kind: str, n: int, m: int) -> dict:
+    """One case's median build and stationary times, iterations, states and nnz,
+    and the peak resident memory of the process, which ``ORACLE_PROBE`` starts."""
     from pairjump import circle, models, oracle
 
+    runs = [_oracle_solve(circle, models, oracle, kind, n, m) for _ in range(1 + ORACLE_RUNS)]
+    build, solve, iterations, states, nnz, _ = zip(*runs[1:])
+    tag = f"{kind}_{n}x{m}"
+    return {f"build_s.{tag}": float(np.median(build)),
+            f"stationary_s.{tag}": float(np.median(solve)),
+            f"power_iterations.{tag}": iterations[0], f"states.{tag}": states[0],
+            f"nnz.{tag}": nnz[0],
+            f"ru_maxrss_mb.{tag}": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0}
+
+
+def oracle_layers(src: Path) -> dict:
+    """``oracle_case`` for each case and the pairjump in src, each in a fresh process."""
     figures = {}
     for kind, n, m in ORACLE_CASES:
-        runs = [_oracle_solve(circle, models, oracle, kind, n, m) for _ in range(1 + ORACLE_RUNS)]
-        build, solve, iterations, states, nnz, _ = zip(*runs[1:])
-        tag = f"{kind}_{n}x{m}"
-        figures.update({f"build_s.{tag}": float(np.median(build)),
-                        f"stationary_s.{tag}": float(np.median(solve)),
-                        f"power_iterations.{tag}": iterations[0], f"states.{tag}": states[0],
-                        f"nnz.{tag}": nnz[0]})
-    figures["ru_maxrss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+        figures.update(json.loads(_fresh(src, ORACLE_PROBE, str(Path(__file__).parent),
+                                         kind, str(n), str(m))[1]))
     return figures
 
 

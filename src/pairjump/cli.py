@@ -320,7 +320,7 @@ def cmd_oracle(cfg, out: Path, config_hash: str, workers: int) -> int:
     try:
         tm = build_transition(ModelSpec(kind, noise), n, m)
     except ValueError as exc:
-        raise ConfigError(f"config: {exc}") from exc
+        raise ConfigError(f"config field 'n_particles': {exc}") from exc
     t1 = time.perf_counter()
     solver = {}
     try:
@@ -338,11 +338,12 @@ def cmd_oracle(cfg, out: Path, config_hash: str, workers: int) -> int:
     _write_csv(out / "oracle.csv", config_hash,
                ("marginal", "cell", "weight"), rows)
     t3 = time.perf_counter()
-    P = tm.P
+    halves = (tm.out, tm.into)
     _write_run_json(out, config_hash, "oracle",
                     {"build_s": t1 - t0, "stationary_s": t2 - t1, "write_s": t3 - t2},
-                    states=tm.n_states, nnz=int(P.nnz),
-                    matrix_bytes=int(P.data.nbytes + P.indices.nbytes + P.indptr.nbytes),
+                    states=tm.n_states, stored_entries=sum(h.nnz for h in halves),
+                    matrix_bytes=sum(h.data.nbytes + h.indices.nbytes + h.indptr.nbytes
+                                     for h in halves),
                     **solver)
     return 0
 

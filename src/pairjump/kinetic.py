@@ -158,8 +158,10 @@ def bdg_gain(f: GridDensity, g: NoiseSpec, stats: dict | None = None) -> GridDen
 
 
 def _gain_rhs(p: np.ndarray, gm_hat: np.ndarray) -> np.ndarray:
-    # d p / dt in mass space; mass is conserved exactly when sum(p) == 1
-    return RATE_FACTOR * (_gain_masses(p, gm_hat) - p)
+    # d p / dt in mass space. The gain has mass sum(p)^2, so a loss of sum(p) * p
+    # keeps any mass still; a loss of p would make mass 1 repelling, and rounding
+    # would grow like e^(RATE_FACTOR * t) into the drift abort by t ~ 7-9
+    return RATE_FACTOR * (_gain_masses(p, gm_hat) - p.sum() * p)
 
 
 def bdg_evolve(f0: GridDensity, g: NoiseSpec, t: float,

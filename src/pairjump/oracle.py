@@ -9,10 +9,13 @@ lumps exactly onto their orbits (Kemeny and Snell, *Finite Markov Chains*,
 C(M+N-1, N) multisets of cells, an ascending tuple x_0 <= ... <= x_{N-1}
 numbered by its colex rank sum_i C(x_i + i, i + 1), and its weight is the
 mass of all its orderings. A jump moves a uniformly picked pair, as in Kac's
-model: two particles leave the multiset and two come in, so P is a product
-of four sparse factors that each take one particle out or put one in, with
-a seed cell between them (cl: the leader's cell; bdg: the pair's midpoint).
-The stationary law and the generator N*(Q* - I) apply P^T
+model: two particles leave the multiset and two come in. Four sparse factors
+each take one particle out or put one in, with a seed cell between them (cl:
+the leader's cell; bdg: the pair's midpoint); the chain keeps their products
+two by two, the two halves of a jump, out (a state to the rest of N - 2
+particles and the seed) and into (rest and seed back to a state), and never
+forms P = out @ into, which is dense in its rows for bdg. The stationary law
+and the generator N*(Q* - I) apply P^T = into^T out^T
 (``TransitionMatrix.rmatvec``). All of it is plain sparse linear algebra,
 independent of the event-driven simulator, which is what makes this a
 trustworthy oracle for small N and M.
@@ -43,8 +46,9 @@ __all__ = [
     "pair_difference_profile",
 ]
 
-# Caps on the entries a build stores (``_stored_entries``; by ru_maxrss, 5 to 17 bytes
-# each over 50 MB, cl N=6, M=16 peaking highest at 0.20 GB) and a marginal lists.
+# Caps on the entries a build holds (``_stored_entries``; by ru_maxrss with the stationary
+# law, 9 to 34 bytes each over 30 MB, cl N=3, M=64 and N=78, M=4 peaking highest at
+# 0.22 GB) and a marginal lists.
 BUILD_CAP, ENTRY_CAP = 12 * 2 ** 20, 2 ** 24
 
 
@@ -68,22 +72,32 @@ def _rank(X, M: int, place: int = 0):
 
 @dataclass(eq=False)
 class TransitionMatrix:
-    """Row-stochastic one-jump matrix P[x, y] on the multisets of N cells."""
+    """One-jump chain on the multisets of N cells, kept as the two halves of a
+    jump: ``out`` takes a pair out (row: a state; column: the rest of N - 2
+    particles times M plus the seed cell) and ``into`` puts two back (row: rest
+    and seed; column: a state). The row-stochastic P = out @ into is not stored."""
 
     n_particles: int
     grid_size: int
-    P: sp.csr_matrix
+    out: sp.csc_matrix
+    into: sp.csc_matrix
 
     @property
     def n_states(self) -> int:
-        return self.P.shape[0]
+        return self.out.shape[0]
+
+    @property
+    def P(self) -> sp.csr_matrix:
+        """P = out @ into as CSR with unsorted rows, formed on each access (for row
+        sums and tests)."""
+        return self.out.tocsr() @ self.into.tocsr()
 
     def rmatvec(self, w: np.ndarray) -> np.ndarray:
         """P^T w for weights w on the states (the law after one jump)."""
         w = np.asarray(w, dtype=float)
         if w.shape != (self.n_states,):
             raise ValueError(f"weights must be flat with C(M+N-1, N) = {self.n_states} entries")
-        return self.P.T @ w
+        return self.into.T @ (self.out.T @ w)
 
 
 @dataclass(eq=False)
@@ -140,7 +154,8 @@ def _put_in(k: int, M: int, h: np.ndarray, keep_seed: bool) -> sp.csr_matrix:
     pass carries the new cell c up to its place, ranking as it goes."""
     import scipy.sparse as sp
 
-    m, z = np.arange(M)[:, None], np.flatnonzero(h)
+    # int32 cells: this pass's temporaries set the build's peak memory
+    m, z = np.arange(M, dtype=np.int32)[:, None], np.flatnonzero(h).astype(np.int32)
     rank, c = 0, (m + z) % M
     for i, x in enumerate(_multisets(k, M)[:, :, None, None]):
         rank, c = rank + _rank([np.minimum(x, c)], M, i), np.maximum(x, c)
@@ -166,22 +181,24 @@ def _factors(model: ModelSpec, N: int, M: int) -> list:
 
 
 def _stored_entries(kind: str, N: int, M: int) -> int:
-    """Entries the build stores: the listed states' cells, the factors' entries and a
-    bound on P's nonzeros (cl moves one particle anywhere; bdg replaces two)."""
+    """Entries the build holds: the listed states' cells, the four factors' entries
+    and bounds on the two halves': out has a column per ordered pair of cells (cl)
+    or two per unordered pair (bdg: the midpoint's two cells), into one per landing
+    cell (cl: the leader stays on the seed) or unordered pair of cells (bdg)."""
     n_out, n_rest, n_pair = (math.comb(M + N - 1 - i, N - i) for i in range(3))
     pairs = math.comb(M + 1, 2)
-    fan, branches, row = ((1, 1, min(N, M) * M) if kind == "cl"
-                          else (M, 2, min(math.comb(N, 2), pairs) * pairs))
-    return (n_out * (N + min(N, M) + min(n_out, row)) + n_pair * M * fan
+    fan, branches, out_row, into_row = ((1, 1, min(N, M) * min(N - 1, M), M) if kind == "cl"
+                                        else (M, 2, 2 * min(math.comb(N, 2), pairs), pairs))
+    return (n_out * (N + min(N, M) + out_row) + n_pair * M * (fan + into_row)
             + n_rest * M * (min(N - 1, M) * branches + M))
 
 
 def build_transition(model: ModelSpec, n_particles: int, grid_size: int) -> TransitionMatrix:
-    """Assemble the exact one-jump transition matrix on multisets.
+    """Assemble the exact one-jump chain on multisets as the two halves of a jump.
 
     Covers the circle models (cl, bdg); the energy sphere of the kac model
     is not a grid discretization target. Raises, before listing the states,
-    if the build would store more than BUILD_CAP entries (``_stored_entries``).
+    if the build would hold more than BUILD_CAP entries (``_stored_entries``).
 
     Parameters
     ----------
@@ -200,9 +217,7 @@ def build_transition(model: ModelSpec, n_particles: int, grid_size: int) -> Tran
                          f"{n_entries} stored entries, over the cap of {BUILD_CAP}")
 
     out1, out2, in1, in2 = _factors(model, N, M)
-    P = out1 @ out2 @ in1 @ in2
-    P.sort_indices()
-    return TransitionMatrix(n_particles=N, grid_size=M, P=P)
+    return TransitionMatrix(N, M, (out1 @ out2).tocsc(), (in1 @ in2).tocsc())
 
 
 def stationary(tm: TransitionMatrix, tol: float = 1e-12,

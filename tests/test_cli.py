@@ -465,23 +465,26 @@ class TestOracle:
             "noise": {"kind": "wrapped_normal", "param": 0.5}})
         outs = run_twice(tmp_path, "oracle", cfg)
         tm = build_transition(ModelSpec("bdg", WrappedNormalNoise(0.5)), 2, 8)
-        solver, P = {}, tm.P
+        solver, halves = {}, (tm.out, tm.into)
         stationary(tm, stats=solver)
         check_run_sidecar(outs, cfg, "oracle", {
-            "states": 36, "nnz": P.nnz,  # C(9, 2) multisets of 2 cells out of 8
-            "matrix_bytes": P.data.nbytes + P.indices.nbytes + P.indptr.nbytes,
+            "states": 36,  # C(9, 2) multisets of 2 cells out of 8
+            "stored_entries": sum(h.nnz for h in halves),
+            "matrix_bytes": sum(h.data.nbytes + h.indices.nbytes + h.indptr.nbytes
+                                for h in halves),
             "power_iterations": solver["power_iterations"], "final_gap": solver["final_gap"],
         }, {"build_s", "stationary_s", "write_s"})
         assert (outs[0] / "oracle.csv").read_bytes() == (outs[1] / "oracle.csv").read_bytes()
 
     def test_refuses_state_space_beyond_cap(self, tmp_path, capsys):
-        # 170544 multisets of 7 cells out of 16: 40837536 stored entries
+        # 170544 multisets of 7 cells out of 16: 32868480 entries held
         cfg = write_config(tmp_path, "orc.json", {
             "model": "cl", "n_particles": 7, "M": 16,
             "noise": {"kind": "uniform"}})
         assert main(["oracle", "--config", str(cfg),
-                     "--out", str(tmp_path / "o"), "--threads", "1"]) != 0
-        assert "40837536" in capsys.readouterr().err
+                     "--out", str(tmp_path / "o"), "--threads", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "config field 'n_particles': " in err and "32868480" in err
 
     def test_refuses_marginal_beyond_cap_before_building(self, tmp_path, capsys,
                                                          monkeypatch):

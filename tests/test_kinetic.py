@@ -342,6 +342,13 @@ class TestBdgEvolve:
         c = fourier_coeffs(out, 8)
         assert c.coeff(0) == pytest.approx(1.0, abs=1e-10)
 
+    def test_mass_stays_put_over_long_runs(self):
+        # a loss of p (not sum(p) * p) repels the mass from 1, and the drift
+        # check aborted this run at t = 7
+        f0 = WrappedNormalNoise(0.5).tabulate(64)
+        out = bdg_evolve(f0, WrappedNormalNoise(0.2), 20.0, self.CFG)
+        assert abs(out.masses.sum() - 1.0) < 1e-14
+
     def test_rotation_equivariance_grid_shift(self):
         # the even tie split makes the deposition commute with every grid
         # rotation, odd shifts included

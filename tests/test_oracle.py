@@ -164,14 +164,15 @@ class TestPairFactors:
     @pytest.mark.parametrize("kind", ["cl", "bdg"])
     @pytest.mark.parametrize("M", [16, 64])
     def test_factor_rows_and_nnz(self, kind, M):
-        # stochastic factors; with P they store no more than the cap counts
-        N = 3 if M == 16 else 2  # N = 3 on 64 cells is over the cap
-        factors = _factors(ModelSpec(kind, tabulated_wn(0.5, M)), N, M)
+        # stochastic factors; with the two halves they hold no more than the cap counts
+        N = 3 if M == 16 else 2  # N = 3 on 64 cells is over the cap for bdg
+        model = ModelSpec(kind, tabulated_wn(0.5, M))
+        factors = _factors(model, N, M)
         for f in factors:
             assert_allclose(np.asarray(f.sum(axis=1)).ravel(), 1.0, rtol=0, atol=1e-15)
-        P = factors[0] @ factors[1] @ factors[2] @ factors[3]
-        n_states = math.comb(M + N - 1, N)
-        assert n_states * N + sum(f.nnz for f in factors) + P.nnz <= _stored_entries(kind, N, M)
+        tm = build_transition(model, N, M)
+        held = tm.n_states * N + sum(f.nnz for f in factors) + tm.out.nnz + tm.into.nnz
+        assert held <= _stored_entries(kind, N, M)
 
     @pytest.mark.parametrize("M", [4, 8])
     @pytest.mark.parametrize("k", [0, 1, 2, 3])
@@ -199,9 +200,12 @@ class TestPairFactors:
     @pytest.mark.parametrize("kind", ["cl", "bdg"])
     @pytest.mark.parametrize("N, M", OPERATOR_SIZES)
     def test_rmatvec_matches_transposed_matrix(self, kind, N, M):
-        tm = build_transition(ModelSpec(kind, tabulated_wn(0.5, M)), N, M)
+        # the two halves against the four factors multiplied out in order
+        model = ModelSpec(kind, tabulated_wn(0.5, M))
+        out1, out2, in1, in2 = _factors(model, N, M)
+        tm = build_transition(model, N, M)
         w = np.random.default_rng(N * M).random(tm.n_states)
-        assert np.abs(tm.rmatvec(w) - tm.P.T @ w).max() <= 1e-14
+        assert np.abs(tm.rmatvec(w) - (out1 @ out2 @ in1 @ in2).T @ w).max() <= 1e-14
 
     def test_rmatvec_rejects_wrong_length(self):
         tm = build_transition(ModelSpec("cl", tabulated_wn(0.5, 4)), 3, 4)
@@ -214,7 +218,7 @@ class TestPairFactors:
     def test_matches_sorted_assembly(self, kind, N, M):
         model = ModelSpec(kind, tabulated_wn(0.5, M))
         P = build_transition(model, N, M).P
-        assert P.indices.dtype == np.int32 and P.has_canonical_format
+        assert P.indices.dtype == np.int32
         assert np.abs(P.toarray() - lump(sorted_assembly(model, N, M), N, M)).max() <= 1e-14
 
 
@@ -286,19 +290,33 @@ class TestBuildTransition:
 
     def test_state_cap(self):
         # 170544 multisets of 7 particles on 16 cells: their cells, the factors
-        # and up to 7 * 16 nonzeros a row store 40.8M entries
-        with pytest.raises(ValueError, match="40837536"):
+        # and up to 7 * 6 ordered pairs a row of out would hold 32.9M entries
+        with pytest.raises(ValueError, match="32868480"):
             build_transition(ModelSpec("cl", UniformNoise()), 7, 16)
 
     def test_entry_cap_refuses_bdg_before_assembly(self, monkeypatch):
-        # C(20, 5) = 15504 states is small, but each row of P may hold 10 pairs
-        # times 136 unordered target pairs: 22.9M stored entries
+        # C(21, 6) = 54264 states is small, but each rest and seed of into may
+        # land on 136 unordered pairs of cells: 18.2M entries held
         def unlisted(*args):
             raise AssertionError("states listed before the cap was checked")
 
         monkeypatch.setattr(oracle, "_multisets", unlisted)
-        with pytest.raises(ValueError, match="22937760"):
-            build_transition(ModelSpec("bdg", UniformNoise()), 5, 16)
+        with pytest.raises(ValueError, match="18155184"):
+            build_transition(ModelSpec("bdg", UniformNoise()), 6, 16)
+
+    def test_admits_bdg_five_particles_on_sixteen_cells(self):
+        # refused while P was stored (22.9M entries counted); its halves hold 1.9M
+        M, N = 16, 5
+        assert _stored_entries("bdg", N, M) <= oracle.BUILD_CAP
+        tm = build_transition(ModelSpec("bdg", WrappedNormalNoise(0.2)), N, M)
+        f = stationary(tm)
+        assert tm.n_states == 15504
+        assert np.abs(tm.rmatvec(f.weights) - f.weights).sum() < 1e-12
+        assert_allclose(marginal(f, [0]), 1.0 / M, rtol=0, atol=1e-12)
+        # above the alignment threshold the law is not chaotic: C_1 = 0.7099
+        prof = pair_difference_profile(marginal(f, [0, 1]))
+        c1 = np.exp(-2j * np.pi * np.arange(M) / M) @ prof
+        assert abs(c1.real - 0.70993) < 1e-5
 
     @pytest.mark.parametrize("kind", ["cl", "bdg"])
     def test_cap_admits_every_shape_the_pair_listing_did(self, kind):
