@@ -52,22 +52,24 @@ def _noise(circle, spec):
     return getattr(circle, name)(*args)
 
 
+def _simulate_case(circle, models, k, tag, kind, noise, n, t_end, record_events=False):
+    """Case k of SIMULATE_CASES from its own start, drawn on its replica stream."""
+    model = models.ModelSpec(kind, _noise(circle, noise))
+    rng = models.replica_rng(2026, k)
+    x0 = models.sample_kac_state(n, rng) if kind == "kac" else rng.random(n) * circle.TWO_PI
+    return models.simulate(model, x0, t_end, rng, record_events=record_events)
+
+
 def scalar_layers(src: Path) -> dict:
     """Event rates of simulate (per case) and replay for the pairjump in src."""
     sys.path.insert(0, str(src))
     from pairjump import circle, models
 
     rates = {}
-    for k, (tag, kind, noise, n, t_end) in enumerate(SIMULATE_CASES):
-        model = models.ModelSpec(kind, _noise(circle, noise))
-        rng = models.replica_rng(2026, k)
-        if kind == "kac":
-            x0 = models.sample_kac_state(n, rng)
-        else:
-            x0 = rng.random(n) * circle.TWO_PI
+    for k, case in enumerate(SIMULATE_CASES):
         t = time.perf_counter()
-        res = models.simulate(model, x0, t_end, rng)
-        rates[f"simulate_events_per_s.{tag}"] = res.n_events / (time.perf_counter() - t)
+        res = _simulate_case(circle, models, k, *case)
+        rates[f"simulate_events_per_s.{case[0]}"] = res.n_events / (time.perf_counter() - t)
 
     kind, n, t_end = REPLAY_CASE
     model = models.ModelSpec(kind, circle.WrappedNormalNoise(0.5))
@@ -377,6 +379,113 @@ def startup_layers(src: Path) -> dict:
     return figures
 
 
+# ---------------------------------------------------------------------------
+# draws: what both particle engines pay per block of EVENT_BLOCK events outside
+# the per-event loop. The pair decode and the angle wrap are timed per block,
+# each call on a fresh random array (a repeated array lets the branch predictor
+# learn a binary search's path); ``_draw_block`` per block for each scalar
+# case; then ``simulate`` per scalar case (events per second) and
+# ``simulate_ensemble`` at perfbench's ``ensemble`` shape (its four jobs) and at
+# A4's N = 800. Outputs are the end states, event logs and snapshots.
+
+DECODE_NS = (50, 200, 2000)
+BLOCK_CALLS, BLOCK_ROUNDS = 500, 5
+ENGINE_RUNS = 3
+# (tag, model kind, noise, N, R, t_end, checkpoints), each started from WN(0.5)
+ENSEMBLE_CASES = (
+    *((f"perfbench_{tag}", kind, noise, 2000, 100, 0.5, (0.25, 0.5))
+      for tag, kind, noise in (("cl_wn", "cl", ("WrappedNormalNoise", 0.5)),
+                               ("cl_uniform", "cl", ("UniformNoise",)),
+                               ("cl_tab", "cl", ("TabulatedNoise", 64)),
+                               ("bdg_wn", "bdg", ("WrappedNormalNoise", 0.2)))),
+    ("a4_n800", "cl", ("WrappedNormalNoise", 0.5), 800, 400, 1.0, (1.0,)),
+)
+
+
+def _decoder(models):
+    """The pair decode of src's ``_draw_block``: closed form where the module has one,
+    else the binary search over the row offsets that it replaced."""
+    decode = getattr(models, "_decode_pairs", None)
+    if decode is not None:
+        return decode
+
+    def searchsorted(m, offsets):
+        i = np.searchsorted(offsets, m, side="right") - 1
+        return i, m - offsets[i] + i + 1
+    return searchsorted
+
+
+def _per_block_us(fn, inputs) -> float:
+    """Median over rounds of the mean microseconds of fn over each round's fresh inputs."""
+    fn(inputs[0][0])  # warm-up
+    rounds = []
+    for batch in inputs:
+        t = time.perf_counter()
+        for x in batch:
+            fn(x)
+        rounds.append((time.perf_counter() - t) / len(batch))
+    return 1e6 * float(np.median(rounds))
+
+
+def _ensemble_case(circle, models, k, tag, kind, noise, n, r, t_end, cps):
+    return models.simulate_ensemble(models.ModelSpec(kind, _noise(circle, noise)), n, t_end,
+                                    cps, r, 2026 + k, initial=circle.WrappedNormalNoise(0.5))
+
+
+def draws_layers(src: Path) -> dict:
+    """Per-block decode, wrap and draw times, and both engines' speed, for the pairjump in src."""
+    sys.path.insert(0, str(src))
+    from pairjump import circle, models
+
+    B = models.EVENT_BLOCK
+    rng = np.random.default_rng(2026)
+    figures = {}
+    decode = _decoder(models)
+    for n in DECODE_NS:
+        offsets = models._pair_offsets(n)
+        keys = rng.integers(n * (n - 1) // 2, size=(BLOCK_ROUNDS, BLOCK_CALLS, B))
+        figures[f"decode_us.N{n}"] = _per_block_us(lambda m: decode(m, offsets), keys)
+    angles = rng.normal(0.0, np.sqrt(0.5), (BLOCK_ROUNDS, BLOCK_CALLS, B))
+    figures["wrap_us.wn05"] = _per_block_us(circle.wrap_angle, angles)
+    for k, (tag, kind, noise, n, _) in enumerate(SIMULATE_CASES):
+        model = models.ModelSpec(kind, _noise(circle, noise))
+        offsets, block_rng = models._pair_offsets(n), models.replica_rng(2026, k)
+        figures[f"draw_block_us.{tag}"] = _per_block_us(
+            lambda _: models._draw_block(model, offsets, n * (n - 1) // 2, block_rng),
+            [range(BLOCK_CALLS)] * BLOCK_ROUNDS)
+
+    for k, case in enumerate(SIMULATE_CASES):
+        n_events = _simulate_case(circle, models, k, *case).n_events
+        figures[f"simulate_events_per_s.{case[0]}"] = n_events / _median_time(
+            lambda: _simulate_case(circle, models, k, *case), ENGINE_RUNS)
+    ensemble_s = {case[0]: _median_time(lambda: _ensemble_case(circle, models, k, *case),
+                                        ENGINE_RUNS)
+                  for k, case in enumerate(ENSEMBLE_CASES)}
+    figures["ensemble_s.perfbench"] = sum(v for tag, v in ensemble_s.items()
+                                          if tag.startswith("perfbench_"))
+    figures["ensemble_s.a4_n800"] = ensemble_s["a4_n800"]
+    return figures
+
+
+def draws_outputs(src: Path, npz: Path) -> None:
+    """End state and event log of each scalar case, and each ensemble's snapshots."""
+    sys.path.insert(0, str(src))
+    from pairjump import circle, models
+
+    out = {}
+    for k, case in enumerate(SIMULATE_CASES):
+        res = _simulate_case(circle, models, k, *case, record_events=True)
+        out[f"final.{case[0]}"] = res.final_state
+        for col in ("time", "i", "j", "d1", "d2"):
+            if getattr(res.events, col) is not None:
+                out[f"log_{col}.{case[0]}"] = getattr(res.events, col)
+    for k, case in enumerate(ENSEMBLE_CASES):
+        ens = _ensemble_case(circle, models, k, *case)
+        out[f"snapshots.{case[0]}"] = ens.snapshots
+        out[f"n_events.{case[0]}"] = ens.n_events
+    np.savez(npz, **out)
+
+
 # topic: (layers, outputs or None)
 TOPICS = {
     "scalar": (scalar_layers, None),
@@ -385,4 +494,5 @@ TOPICS = {
     "snapshots": (snapshots_layers, None),
     "oracle": (oracle_layers, oracle_outputs),
     "startup": (startup_layers, None),
+    "draws": (draws_layers, draws_outputs),
 }

@@ -37,7 +37,22 @@ GUIDE_SLOTS_PER_CELL = 16
 
 
 def wrap_angle(theta):
-    """Wrap angles into [0, 2*pi). Works on scalars and arrays."""
+    """Wrap angles into [0, 2*pi): ``np.mod(theta, 2*pi)``, bit for bit.
+
+    Works on scalars and arrays; a scalar stays a scalar. A float64 array
+    whose entries all lie in [-2*pi, 2*pi) takes a cheaper route: there
+    fmod(theta, 2*pi) is theta itself, so numpy's remainder is 0.0 + theta
+    (which makes -0.0 into +0.0) where theta >= 0 and 2*pi + theta where
+    theta < 0 (a sum that rounds to 2*pi itself for theta such as -1e-17).
+    Any other input, |theta| >= 2*pi, NaN or inf among them, goes through
+    ``np.mod``.
+    """
+    if (isinstance(theta, np.ndarray) and theta.ndim and theta.size
+            and theta.dtype == np.float64
+            and -TWO_PI <= theta.min() and theta.max() < TWO_PI):
+        out = (theta < 0.0) * TWO_PI
+        out += theta
+        return out
     return np.mod(theta, TWO_PI)
 
 
@@ -102,16 +117,19 @@ class GridDensity:
 
     @cached_property
     def _sampling_table(self):
-        """Cumulative cell masses and their guide table of G = 16 M slots.
+        """Cumulative cell masses cum, their guide table start of G = 16 M
+        slots, lo = (0, cum) and the cell masses.
 
         start[j] is the first cell whose cumulative mass exceeds j/G, i.e.
         searchsorted(cum, j/G, "right"). Built on the first draw and kept, so
         repeated draws share it.
         """
-        cum = np.cumsum(self.masses)
+        masses = self.masses
+        lo = np.concatenate(([0.0], np.cumsum(masses)))  # lo[k]: mass below cell k
+        cum = lo[1:]
         cum[np.flatnonzero(self.values)[-1]:] = 1.0  # no u < 1 picks a trailing empty cell
         G = GUIDE_SLOTS_PER_CELL * self.M
-        return cum, np.searchsorted(cum, np.arange(G) / G, side="right")
+        return cum, np.searchsorted(cum, np.arange(G) / G, side="right"), lo, masses
 
     def _cells(self, u: np.ndarray):
         """Cells and in-cell fractions of uniforms u under the inverse CDF of the cell masses.
@@ -122,7 +140,7 @@ class GridDensity:
         cells equal ``searchsorted(cum, u, "right")`` index for index. Most u
         need no step at all. A draw's angle is (cell - 1/2 + fraction) 2 pi / M.
         """
-        cum, start = self._sampling_table
+        cum, start, lo, masses = self._sampling_table
         flat = u.reshape(-1)
         idx = start[(flat * start.size).astype(np.intp)]
         late = np.flatnonzero(cum[idx] <= flat)
@@ -130,8 +148,7 @@ class GridDensity:
             idx[late] += 1
             late = late[cum[idx[late]] <= flat[late]]
         idx = idx.reshape(u.shape)
-        lo = np.concatenate(([0.0], cum))[idx]
-        return idx, (u - lo) / self.masses[idx]
+        return idx, (u - lo[idx]) / masses[idx]
 
     def sample(self, rng: np.random.Generator, size):
         """Angles from the carrier, from one ``rng.random(size)``.
@@ -140,12 +157,7 @@ class GridDensity:
         search, bit for bit.
         """
         idx, frac = self._cells(rng.random(size))
-        theta = (idx - 0.5 + frac) * (TWO_PI / self.M)
-        # the remainder leaves [0, 2*pi) unchanged, so apply it only outside;
-        # finite angles fall below 0 only in cell 0
-        outside = ~((theta >= 0.0) & (theta < TWO_PI))
-        np.remainder(theta, TWO_PI, out=theta, where=outside)
-        return theta
+        return wrap_angle((idx - 0.5 + frac) * (TWO_PI / self.M))
 
 
 @dataclass(frozen=True, eq=False)
@@ -266,7 +278,7 @@ class WrappedNormalNoise(NoiseSpec):
         return dens / np.sqrt(TWO_PI * self.sigma2)
 
     def sample(self, rng, size):
-        return rng.normal(0.0, np.sqrt(self.sigma2), size) % TWO_PI
+        return wrap_angle(rng.normal(0.0, np.sqrt(self.sigma2), size))
 
 
 @dataclass(frozen=True)
@@ -293,7 +305,7 @@ class VonMisesNoise(NoiseSpec):
         return np.exp(self.kappa * (np.cos(theta) - 1.0)) / (TWO_PI * ive(0, self.kappa))
 
     def sample(self, rng, size):
-        return rng.vonmises(0.0, self.kappa, size) % TWO_PI
+        return wrap_angle(rng.vonmises(0.0, self.kappa, size))
 
 
 @dataclass(frozen=True, eq=False)

@@ -46,7 +46,7 @@ from .invariant import (
     pair_correlation_closed,
 )
 from .kinetic import KineticConfig, bdg_evolve, cl_evolve
-from .models import ModelSpec, simulate_ensemble
+from .models import MAX_PARTICLES, ModelSpec, simulate_ensemble
 from .oracle import build_transition, check_marginal, marginal, stationary
 from .verify import MASTER_SEED, SCENARIOS, report_dict, run_scenario
 
@@ -172,8 +172,8 @@ def _write_run_json(out: Path, config_hash: str, command: str, stages: dict, **f
 def cmd_simulate(cfg, out: Path, config_hash: str, workers: int) -> int:
     kind = _get(cfg, "model", str, check=lambda v: v in ("cl", "bdg", "kac"),
                 expect="one of 'cl', 'bdg', 'kac'")
-    n = _get(cfg, "n_particles", int, check=lambda v: v >= 2,
-             expect="an integer >= 2")
+    n = _get(cfg, "n_particles", int, check=lambda v: 2 <= v <= MAX_PARTICLES,
+             expect=f"an integer in [2, {MAX_PARTICLES}]")
     noise = _noise_from(cfg, "noise")
     t_end = float(_get(cfg, "t_end", (int, float), check=lambda v: v >= 0,
                        expect="a nonnegative time"))

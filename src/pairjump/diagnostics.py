@@ -111,10 +111,12 @@ def _phasors(theta: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 def _power_sums(z: np.ndarray, S: np.ndarray) -> None:
     # S[k-1] = sum of z^k over z's last axis for k = 1..len(S), by the
-    # recurrence z^k = z^(k-1) * z updated in place
-    powers = z.copy()
+    # recurrence z^k = z^(k-1) * z, updated in place from k = 2 on
+    powers = z
     for k in range(len(S)):
-        if k:
+        if k == 1:
+            powers = z * z
+        elif k:
             np.multiply(powers, z, out=powers)
         powers.sum(axis=-1, out=S[k])
 

@@ -24,7 +24,8 @@ then the initial state), events are drawn in blocks of B = EVENT_BLOCK. Each
 block draws, in this order:
 
 * ``exponential(1/N, B)`` waiting times;
-* ``integers(N(N-1)/2, B)`` pair indices, decoded lexicographically;
+* ``integers(N(N-1)/2, B)`` pair indices, decoded lexicographically (in
+  closed form, ``_decode_pairs``, for N <= MAX_PARTICLES);
 * the model draws: cl ``integers(2, B)`` coins (1: i leads), then
   ``noise.sample(rng, B)``; bdg ``noise.sample(rng, 2B)``, event-major
   (w_i, w_j); kac ``noise.sample(rng, B)`` rotation angles.
@@ -39,6 +40,12 @@ blocks' draw columns, an ``EventLog``), bit for bit. Checkpoint rows come
 from ``simulate_ensemble`` only: a row is the state after every event at or
 before the checkpoint. ``replay`` applies a log through the same update
 table in the same blocks, reproducing the final state bit for bit.
+
+Decoding pairs in closed form left contract v2 unchanged: a pair index
+maps to the same lexicographic pair (i, j) as a search of the row offsets,
+so every trajectory is the same, bit for bit. The closed form is proven
+exact up to N = MAX_PARTICLES; both engines refuse a larger N before they
+draw anything.
 
 Contract v1, retired when ``simulate`` moved to v2, drew per event the
 waiting time, the pair index and the model draws with scalar calls. A
@@ -72,6 +79,7 @@ __all__ = [
 MODEL_KINDS = ("bdg", "cl", "kac")
 EVENT_BLOCK = 1024  # events drawn per trajectory at a time (draw-order contract v2)
 EVENT_LOG_CAP = 1_000_000  # events an EventLog keeps; the rest are counted, not logged
+MAX_PARTICLES = 1 << 24  # largest N whose pairs _decode_pairs decodes exactly
 
 
 @dataclass(frozen=True)
@@ -168,8 +176,39 @@ def replica_rng(master_seed: int, replica: int) -> np.random.Generator:
 
 def _pair_offsets(n: int) -> np.ndarray:
     # offsets[i] = number of pairs (a, b) with a < i, for lexicographic decode
+    if n > MAX_PARTICLES:
+        raise ValueError(f"N = {n} exceeds {MAX_PARTICLES}, the largest N whose pairs "
+                         "decode exactly")
     i = np.arange(n)
     return i * (n - 1) - (i * (i - 1)) // 2
+
+
+def _decode_pairs(m: np.ndarray, offsets: np.ndarray):
+    """Pair indices m to their lexicographic pairs (i, j), i < j, in closed form.
+
+    With b = 2N - 1 the offsets are off[i] = i (b - i) / 2, so row i, the
+    largest i with off[i] <= m, is the floor of r(m) = b/2 - sqrt(b^2/4 - 2m),
+    the smaller root of i^2 - b i + 2m = 0, nudged up by 1/(2b):
+    i = floor((b + 1/b)/2 - sqrt(b^2/4 - 2m)). In exact arithmetic r(off[i])
+    = i, and dr/dm = 1/sqrt(b^2/4 - 2m) >= 2/b, so the last index of row i
+    has r <= i + 1 - 2/b: the nudged root lies in [i + 1/(2b), i + 1 - 3/(2b)].
+
+    Rounding: with b < 2^25 (N <= MAX_PARTICLES = 2^24), b^2/4 - 2m is an
+    exact double; the square root, the constant (b + 1/b)/2 and the
+    difference are each within b 2^-54 (plus 2^-54/b), so the computed value
+    is within 1.5 b 2^-53 + 2^-53/b < 2^-27 of the nudged root, below the
+    margin 1/(2b) > 2^-26 on either side. (At m = off[i] the radicand is the
+    square (b/2 - i)^2 and its root is exact; the nudge keeps the margin if it
+    were not.) Halving b + 1/b and taking the root of a quarter of b^2 - 8m
+    are exact, so this is bit for bit the floor of (b + 1/b - sqrt(b^2 - 8m))/2.
+    j = m - off[i] + i + 1.
+    """
+    b = 2 * offsets.size - 1
+    root = m * -2.0
+    root += b * b / 4
+    np.sqrt(root, out=root)
+    i = np.subtract(0.5 * (b + 1.0 / b), root, out=root).astype(np.intp)
+    return i, m - offsets[i] + i + 1
 
 
 # ---------------------------------------------------------------------------
@@ -222,9 +261,10 @@ def simulate(model: ModelSpec, initial, t_end: float, rng: np.random.Generator,
         the result is flagged truncated if the cap is hit.
     """
     _check_times(t_end)
-    state = _check_initial(model, initial).tolist()
-    n = len(state)
+    state = _check_initial(model, initial)
+    n = state.size
     offsets = _pair_offsets(n)
+    state = state.tolist()
     n_pairs = n * (n - 1) // 2
 
     B = EVENT_BLOCK
@@ -279,9 +319,7 @@ def _draw_block(model: ModelSpec, offsets, n_pairs, rng):
     times, in contract-v2 order: the pairs (i < j) and the EventLog draw
     columns d1, d2."""
     B = EVENT_BLOCK
-    m = rng.integers(n_pairs, size=B)
-    i = np.searchsorted(offsets, m, side="right") - 1
-    j = m - offsets[i] + i + 1
+    i, j = _decode_pairs(rng.integers(n_pairs, size=B), offsets)
     if model.kind == "cl":
         return i, j, rng.integers(2, size=B), model.noise.sample(rng, B)
     if model.kind == "bdg":
@@ -353,6 +391,7 @@ def simulate_ensemble(model: ModelSpec, n_particles: int, t_end: float,
     if n_replicas < 1:
         raise ValueError("n_replicas must be >= 1")
     cps = _check_times(t_end, checkpoints)
+    offsets = _pair_offsets(n_particles)
     if initial is not None and not isinstance(initial, (GridDensity, NoiseSpec)):
         initial = _check_initial(model, initial)
         if initial.size != n_particles:
@@ -360,7 +399,7 @@ def simulate_ensemble(model: ModelSpec, n_particles: int, t_end: float,
 
     n_jobs = max(1, min(workers, n_replicas))
     cuts = [n_replicas * k // n_jobs for k in range(n_jobs + 1)]
-    jobs = [(model, n_particles, t_end, cps, master_seed, initial, lo, hi)
+    jobs = [(model, offsets, t_end, cps, master_seed, initial, lo, hi)
             for lo, hi in zip(cuts, cuts[1:])]
     if n_jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -385,7 +424,8 @@ def _replica_job(args):
     operations and ``%``, and kac's cos/sin come from each replica's own
     draws, so a replica's rows do not depend on which replicas share its run.
     """
-    model, n, t_end, cps, master_seed, initial, lo, hi = args
+    model, offsets, t_end, cps, master_seed, initial, lo, hi = args
+    n = offsets.size
     rngs = [replica_rng(master_seed, r) for r in range(lo, hi)]
     n_rep = len(rngs)
     state = np.empty((n_rep, n))
@@ -396,7 +436,6 @@ def _replica_job(args):
     n_events = np.zeros(n_rep, dtype=np.int64)
 
     B = EVENT_BLOCK
-    offsets = _pair_offsets(n)
     n_pairs = n * (n - 1) // 2
     alive = np.arange(n_rep)
     t0 = np.zeros(n_rep)  # time of each live replica's last event so far

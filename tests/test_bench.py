@@ -3,7 +3,9 @@
 import json
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -61,6 +63,20 @@ def test_scalar_layers_report_the_recorded_metrics(monkeypatch):
     recorded = json.loads((ROOT / "BENCH_scalar.json").read_text())["layers"]["metrics"]
     assert list(got) == list(recorded)
     assert all(v > 0 for v in got.values())
+
+
+def test_draws_times_the_decode_each_side_runs(monkeypatch):
+    # the parent side of the draws topic times the binary search _draw_block used
+    # before the closed form; both decode every pair alike
+    monkeypatch.setattr(sys, "path", [str(ROOT / "src"), *sys.path])
+    from pairjump import models
+
+    offsets = models._pair_offsets(50)
+    m = np.random.default_rng(3).integers(50 * 49 // 2, size=4096)
+    closed = topics._decoder(models)
+    search = topics._decoder(SimpleNamespace())
+    assert closed is models._decode_pairs
+    assert all(np.array_equal(a, b) for a, b in zip(closed(m, offsets), search(m, offsets)))
 
 
 def test_out_keeps_finished_sections_when_a_later_step_fails(tmp_path, monkeypatch):

@@ -84,6 +84,44 @@ class TestWrapAngle:
     def test_scalar_stays_scalar(self):
         assert np.isscalar(wrap_angle(7.0)) or np.ndim(wrap_angle(7.0)) == 0
 
+    EDGES = [0.0, -0.0, TWO_PI, -TWO_PI, np.nextafter(TWO_PI, 0.0), np.nextafter(-TWO_PI, 0.0),
+             -1e-17, np.pi, -np.pi, 1e3, -1e3, 1e300, -1e300, np.nan, np.inf, -np.inf]
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in remainder")
+    @pytest.mark.parametrize("x", EDGES)
+    def test_equals_np_mod_bit_for_bit_at_edges(self, x):
+        # alone (a scalar and a one-entry array) and among in-range angles, so
+        # an entry outside [-2 pi, 2 pi) sends the whole array to np.mod
+        for theta in (x, np.array([x]), np.array([-1.0, x, 1.0, -0.0])):
+            got, want = wrap_angle(theta), np.mod(theta, TWO_PI)
+            assert np.ndim(got) == np.ndim(theta) and np.isscalar(got) == np.isscalar(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    def test_edges_give_what_np_mod_gives(self):
+        x = np.array([-0.0, -TWO_PI, -1e-17])
+        assert wrap_angle(x).tobytes() == np.array([0.0, 0.0, TWO_PI]).tobytes()
+
+    @pytest.mark.parametrize("sigma", [0.5, 3.0, 50.0])
+    def test_equals_np_mod_bit_for_bit_on_normals(self, sigma):
+        x = np.random.default_rng(17).normal(0.0, sigma, 100_000)
+        assert wrap_angle(x).tobytes() == np.mod(x, TWO_PI).tobytes()
+        for part in np.array_split(x, 1000):  # many of them all in [-2 pi, 2 pi)
+            assert wrap_angle(part).tobytes() == np.mod(part, TWO_PI).tobytes()
+
+    def test_empty_and_integer_arrays(self):
+        for theta in (np.array([]), np.arange(-6, 6), np.arange(-20, 20).reshape(4, 10)):
+            assert wrap_angle(theta).tobytes() == np.mod(theta, TWO_PI).tobytes()
+
+    @pytest.mark.parametrize("noise,draw", [
+        (WrappedNormalNoise(0.5), lambda rng: rng.normal(0.0, np.sqrt(0.5), 4096)),
+        (WrappedNormalNoise(9.0), lambda rng: rng.normal(0.0, 3.0, 4096)),
+        (VonMisesNoise(2.0), lambda rng: rng.vonmises(0.0, 2.0, 4096)),
+        (VonMisesNoise(0.0), lambda rng: rng.vonmises(0.0, 0.0, 4096)),
+    ], ids=["wn05", "wn9", "vm2", "vm0"])
+    def test_noise_sample_is_the_draw_mod_2pi(self, noise, draw):
+        got = noise.sample(np.random.default_rng(31), 4096)
+        assert got.tobytes() == (draw(np.random.default_rng(31)) % TWO_PI).tobytes()
+
 
 class TestGridDensity:
     def test_uniform_masses(self):
@@ -403,14 +441,14 @@ class TestGuideTable:
         TabulatedNoise(np.ones(2)),
     ], ids=["wn05-64", "wn001-512", "point-mass", "zero-mass-cells", "M2"])
     def test_edges_match_searchsorted(self, noise):
-        cum, _ = noise._sampling_table
+        cum, *_ = noise._sampling_table
         assert_matches_searchsorted(noise, edge_uniforms(cum))
 
     def test_peaked_noise_steps_across_shared_slots(self):
         # wrapped normal 0.01 on 512 cells: the tail cells are so light that
         # dozens share one slot, so many lookups take several steps
         noise = wrapped_normal_table(0.01, 512)
-        _, start = noise._sampling_table
+        _, start, *_ = noise._sampling_table
         u = np.random.default_rng(4).random(200_000)
         want, _ = searchsorted_cells(noise.values, u)
         steps = want - start[(u * start.size).astype(np.intp)]

@@ -224,6 +224,13 @@ class TestSimulate:
         assert rc != 0
         assert "noise.kind" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n", [1, (1 << 24) + 1])
+    def test_rejects_n_particles_out_of_range(self, tmp_path, capsys, n):
+        cfg = write_config(tmp_path, "sim.json", simulate_config(n_particles=n))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                     "--threads", "1"]) == 2
+        assert "config field 'n_particles': " in capsys.readouterr().err
+
     def test_rejects_negative_seed(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "sim.json", simulate_config(seed=-1))
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o"),

@@ -649,6 +649,38 @@ class TestFixedStart:
             simulate_ensemble(ModelSpec(kind, UniformNoise()), 6, 1.0, [1.0], 2, 0, initial=bad)
 
 
+class TestPairDecode:
+    def test_every_pair_matches_triu_indices(self):
+        for n in range(2, 301):
+            i, j = models._decode_pairs(np.arange(n * (n - 1) // 2), models._pair_offsets(n))
+            first, second = np.triu_indices(n, 1)
+            assert np.array_equal(i, first) and np.array_equal(j, second), n
+
+    @pytest.mark.parametrize("n", [1000, 4097, (1 << 16) + 1, 10**6, 3 * 10**6])
+    def test_every_row_boundary(self, n):
+        # each row's first and last pair index, where the root is nearest an integer
+        offsets = models._pair_offsets(n)
+        for rows in np.array_split(np.arange(n - 1), max(1, n >> 20)):
+            for m, j in ((offsets[rows], rows + 1), (offsets[rows + 1] - 1, np.full(rows.size, n - 1))):
+                got_i, got_j = models._decode_pairs(m, offsets)
+                assert np.array_equal(got_i, rows) and np.array_equal(got_j, j)
+
+    def test_refuses_n_above_the_bound_before_any_draw(self, monkeypatch):
+        with pytest.raises(ValueError, match="exceeds"):
+            models._pair_offsets(models.MAX_PARTICLES + 1)
+        forbid(monkeypatch, "_replica_job")
+        with pytest.raises(ValueError, match="exceeds"):
+            simulate_ensemble(ModelSpec("cl", UniformNoise()), models.MAX_PARTICLES + 1, 1.0,
+                              [1.0], 2, 0)
+        # simulate takes N from its start; a lowered bound shows where it refuses
+        monkeypatch.setattr(models, "MAX_PARTICLES", 10)
+        assert simulate(ModelSpec("cl", UniformNoise()), np.zeros(10), 0.5,
+                        replica_rng(0, 0)).n_events > 0
+        forbid(monkeypatch, "_draw_block")
+        with pytest.raises(ValueError, match="exceeds"):
+            simulate(ModelSpec("cl", UniformNoise()), np.zeros(11), 1.0, replica_rng(0, 0))
+
+
 class TestNonFiniteTimes:
     BAD_T_END = [float("nan"), float("inf"), -1.0]
 
