@@ -52,11 +52,17 @@ def _noise(circle, spec):
     return getattr(circle, name)(*args)
 
 
+def _case_start(circle, models, k, kind, n):
+    """Case k's replica stream and the start drawn on it."""
+    rng = models.replica_rng(2026, k)
+    x0 = models.sample_kac_state(n, rng) if kind == "kac" else rng.random(n) * circle.TWO_PI
+    return rng, x0
+
+
 def _simulate_case(circle, models, k, tag, kind, noise, n, t_end, record_events=False):
     """Case k of SIMULATE_CASES from its own start, drawn on its replica stream."""
     model = models.ModelSpec(kind, _noise(circle, noise))
-    rng = models.replica_rng(2026, k)
-    x0 = models.sample_kac_state(n, rng) if kind == "kac" else rng.random(n) * circle.TWO_PI
+    rng, x0 = _case_start(circle, models, k, kind, n)
     return models.simulate(model, x0, t_end, rng, record_events=record_events)
 
 
@@ -486,6 +492,76 @@ def draws_outputs(src: Path, npz: Path) -> None:
     np.savez(npz, **out)
 
 
+# ---------------------------------------------------------------------------
+# eventlog: a logged trajectory's memory and the scalar engines' speed with a
+# log. The ``tracemalloc`` peak of ``simulate`` on perfbench's logged cl run
+# (N = 200, t = 2500: about 500k events) and the bytes per logged event; then,
+# for one case per model kind of SIMULATE_CASES, ``simulate`` with its event
+# log and ``replay`` of that log, in events per second. Outputs are the end
+# states, the log columns and the replayed states.
+
+# (tag, model kind, noise, N, t_end, replica stream)
+LOGGED_RUN = ("cl_n200", "cl", ("WrappedNormalNoise", 0.5), 200, 2500.0, 100)
+LOGGED_CASES = tuple((*case, k) for k, case in enumerate(SIMULATE_CASES)
+                     if case[0] in ("cl_wn", "bdg_wn", "kac_uniform"))
+
+
+def _logged(circle, models, tag, kind, noise, n, t_end, k):
+    """A logged run from its own start: the model, the start and the result."""
+    model = models.ModelSpec(kind, _noise(circle, noise))
+    rng, x0 = _case_start(circle, models, k, kind, n)
+    return model, x0, models.simulate(model, x0, t_end, rng, record_events=True)
+
+
+def _log_bytes(log) -> int:
+    return sum(col.nbytes for col in (log.time, log.i, log.j, log.d1, log.d2) if col is not None)
+
+
+def eventlog_layers(src: Path) -> dict:
+    """The logged run's traced peak and bytes per event, and simulate and replay event
+    rates per kind, for the pairjump in src."""
+    import tracemalloc
+
+    sys.path.insert(0, str(src))
+    from pairjump import circle, models
+
+    tag = LOGGED_RUN[0]
+    tracemalloc.start()
+    res = _logged(circle, models, *LOGGED_RUN)[2]
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    figures = {f"simulate_peak_mb.{tag}": peak / 2**20,
+               f"peak_bytes_per_event.{tag}": peak / res.n_events,
+               f"log_bytes_per_event.{tag}": _log_bytes(res.events) / len(res.events)}
+    del res
+    for case in LOGGED_CASES:
+        tag = case[0]
+        model, x0, res = _logged(circle, models, *case)
+        figures[f"log_bytes_per_event.{tag}"] = _log_bytes(res.events) / len(res.events)
+        figures[f"simulate_events_per_s.{tag}"] = res.n_events / _median_time(
+            lambda: _logged(circle, models, *case), ENGINE_RUNS)
+        figures[f"replay_events_per_s.{tag}"] = res.n_events / _median_time(
+            lambda: models.replay(model, x0, res.events), ENGINE_RUNS)
+    return figures
+
+
+def eventlog_outputs(src: Path, npz: Path) -> None:
+    """End state, log columns and replayed state of the logged run and each case."""
+    sys.path.insert(0, str(src))
+    from pairjump import circle, models
+
+    out = {}
+    for case in (LOGGED_RUN, *LOGGED_CASES):
+        tag = case[0]
+        model, x0, res = _logged(circle, models, *case)
+        out[f"final.{tag}"] = res.final_state
+        out[f"replayed.{tag}"] = models.replay(model, x0, res.events)
+        for col in ("time", "i", "j", "d1", "d2"):
+            if getattr(res.events, col) is not None:
+                out[f"log_{col}.{tag}"] = getattr(res.events, col)
+    np.savez(npz, **out)
+
+
 # topic: (layers, outputs or None)
 TOPICS = {
     "scalar": (scalar_layers, None),
@@ -495,4 +571,5 @@ TOPICS = {
     "oracle": (oracle_layers, oracle_outputs),
     "startup": (startup_layers, None),
     "draws": (draws_layers, draws_outputs),
+    "eventlog": (eventlog_layers, eventlog_outputs),
 }

@@ -47,6 +47,11 @@ so every trajectory is the same, bit for bit. The closed form is proven
 exact up to N = MAX_PARTICLES; both engines refuse a larger N before they
 draw anything.
 
+kac's update table holds (cos, -sin) of each angle, so neither engine
+negates per event: the pair goes to (c v_i - ns v_j, ns v_i + c v_j) with
+ns = -sin, which in IEEE arithmetic is (c v_i + s v_j, -s v_i + c v_j) bit
+for bit. Contract v2 is unchanged by it.
+
 Contract v1, retired when ``simulate`` moved to v2, drew per event the
 waiting time, the pair index and the model draws with scalar calls. A
 trajectory recorded under v1 has the same law as its v2 counterpart but is
@@ -79,6 +84,11 @@ __all__ = [
 MODEL_KINDS = ("bdg", "cl", "kac")
 EVENT_BLOCK = 1024  # events drawn per trajectory at a time (draw-order contract v2)
 EVENT_LOG_CAP = 1_000_000  # events an EventLog keeps; the rest are counted, not logged
+# column dtypes of an EventLog (time, i, j, d1, d2) as simulate writes it; int32
+# pairs are exact because N <= MAX_PARTICLES = 2^24
+LOG_DTYPES = {"cl": (np.float64, np.int32, np.int32, np.uint8, np.float64),
+              "bdg": (np.float64, np.int32, np.int32, np.float64, np.float64),
+              "kac": (np.float64, np.int32, np.int32, np.float64, None)}
 MAX_PARTICLES = 1 << 24  # largest N whose pairs _decode_pairs decodes exactly
 
 
@@ -102,12 +112,15 @@ class ModelSpec:
 
 @dataclass(frozen=True, eq=False)
 class EventLog:
-    """A trajectory's event log: one column entry per event, 40 bytes each.
+    """A trajectory's event log: one column entry per event.
 
     time holds the event times and (i, j) the pair, i < j. The draw columns
     are, for cl, d1 the coin (1: particle i leads) and d2 the follower's
     noise z; for bdg, d1 = w_i and d2 = w_j; for kac, d1 the rotation angle
-    and d2 None.
+    and d2 None. ``simulate`` writes the columns at ``LOG_DTYPES``: float64
+    times and draws, int32 pairs and cl's coin as uint8, so an event takes 25
+    bytes for cl, 32 for bdg and 24 for kac. ``replay`` also takes any other
+    integer pairs and coins and floating draws.
     """
 
     time: np.ndarray
@@ -258,7 +271,9 @@ def simulate(model: ModelSpec, initial, t_end: float, rng: np.random.Generator,
         Owned by this trajectory; the caller controls seeding.
     record_events : bool
         Keep the event log, an EventLog of at most EVENT_LOG_CAP events;
-        the result is flagged truncated if the cap is hit.
+        the result is flagged truncated if the cap is hit. Each block's
+        events are copied into columns allocated once, ``_log_size`` events
+        long, which grow only if the run outlasts that bound.
     """
     _check_times(t_end)
     state = _check_initial(model, initial)
@@ -268,7 +283,8 @@ def simulate(model: ModelSpec, initial, t_end: float, rng: np.random.Generator,
     n_pairs = n * (n - 1) // 2
 
     B = EVENT_BLOCK
-    logged = []  # per block: the event log's column slices
+    columns = [None if dt is None else np.empty(_log_size(n, t_end), dt)
+               for dt in LOG_DTYPES[model.kind]] if record_events else None
     n_logged = 0
     n_events = 0
     t0 = 0.0
@@ -281,20 +297,39 @@ def simulate(model: ModelSpec, initial, t_end: float, rng: np.random.Generator,
         _apply_events(model.kind, state, _update_table(model.kind, *drawn), kept)
         n_events += kept
 
-        if record_events:
-            take = max(0, min(kept, EVENT_LOG_CAP - n_logged))
-            logged.append([None if col is None else col[:take] for col in (times, *drawn)])
-            n_logged += take
+        take = min(kept, EVENT_LOG_CAP - n_logged) if record_events else 0
+        if take > 0:
+            end = n_logged + take
+            if end > columns[0].size:  # past the Poisson bound: grow, up to the cap
+                columns = [None if col is None else _grown(col, n_logged, end)
+                           for col in columns]
+            for col, drawn_col in zip(columns, (times, *drawn)):
+                if col is not None:
+                    col[n_logged:end] = drawn_col[:take]
+            n_logged = end
         if kept < B:
             break
         t0 = times[-1]
 
     events = None
     if record_events:
-        events = EventLog(*(None if cols[0] is None else np.concatenate(cols)
-                            for cols in zip(*logged)))
+        events = EventLog(*(None if col is None else col[:n_logged] for col in columns))
     return SimulationResult(final_state=np.array(state), n_events=n_events, events=events,
                             events_truncated=record_events and n_logged < n_events)
+
+
+def _log_size(n: int, t_end: float) -> int:
+    """Events an event log is allocated for: the Poisson(N t_end) event count's
+    mean plus six standard deviations, and at most EVENT_LOG_CAP."""
+    mean = n * t_end
+    return int(min(EVENT_LOG_CAP, mean + 6.0 * np.sqrt(mean) + 6.0))
+
+
+def _grown(col: np.ndarray, n_logged: int, end: int) -> np.ndarray:
+    """A longer column holding col's first n_logged entries, room for end."""
+    out = np.empty(min(EVENT_LOG_CAP, max(2 * col.size, end)), col.dtype)
+    out[:n_logged] = col[:n_logged]
+    return out
 
 
 def replay(model: ModelSpec, initial, events: EventLog) -> np.ndarray:
@@ -302,16 +337,41 @@ def replay(model: ModelSpec, initial, events: EventLog) -> np.ndarray:
 
     The log goes through the same update table as ``simulate``, one
     EVENT_BLOCK slice at a time, so replaying a trajectory's complete log
-    reproduces its final state bit for bit.
+    reproduces its final state bit for bit. A log that does not fit the
+    model or the state is refused with ValueError before any event is
+    applied (``_check_log``).
     """
-    state = _check_initial(model, initial).tolist()
-    for e0 in range(0, len(events), EVENT_BLOCK):
+    state = _check_initial(model, initial)
+    i, j, d1, d2 = _check_log(model.kind, state.size, events)
+    state = state.tolist()
+    for e0 in range(0, i.size, EVENT_BLOCK):
         block = slice(e0, e0 + EVENT_BLOCK)
-        d2 = None if events.d2 is None else events.d2[block]
-        table = _update_table(model.kind, events.i[block], events.j[block],
-                              events.d1[block], d2)
+        table = _update_table(model.kind, i[block], j[block], d1[block],
+                              None if d2 is None else d2[block])
         _apply_events(model.kind, state, table, EVENT_BLOCK)
     return np.array(state)
+
+
+def _check_log(kind: str, n: int, events: EventLog):
+    """The columns i, j, d1, d2 of a log that replay can apply to N = n
+    particles, in native byte order: 1-d columns of one length, integer pairs
+    0 <= i < j < n, a d2 column exactly when the kind has one (cl, bdg), and
+    cl coins in {0, 1}."""
+    cols = [None if col is None else np.asarray(col) for col in
+            (events.time, events.i, events.j, events.d1, events.d2)]
+    if (cols[4] is None) != (kind == "kac"):
+        raise ValueError(f"{kind} event logs have {'no' if kind == 'kac' else 'a'} d2 column")
+    if any(col.ndim != 1 or col.size != cols[0].size for col in cols if col is not None):
+        raise ValueError("event log columns must be 1-d and of one length")
+    i, j, d1, d2 = (None if col is None else col.astype(col.dtype.newbyteorder("="), copy=False)
+                    for col in cols[1:])
+    if i.dtype.kind not in "iu" or j.dtype.kind not in "iu":
+        raise ValueError("event log pairs i, j must be integers")
+    if i.size and not (i.min() >= 0 and j.max() < n and np.all(i < j)):
+        raise ValueError(f"event log pairs must have 0 <= i < j < N = {n}")
+    if kind == "cl" and not np.all((d1 == 0) | (d1 == 1)):
+        raise ValueError("cl coins d1 must be 0 or 1")
+    return i, j, d1, d2
 
 
 def _draw_block(model: ModelSpec, offsets, n_pairs, rng):
@@ -330,13 +390,14 @@ def _draw_block(model: ModelSpec, offsets, n_pairs, rng):
 
 def _update_table(kind, i, j, d1, d2):
     """Update operands (a, b, value, value) of events given as draw columns:
-    cl (leader, follower, z, None), bdg (i, j, w_i, w_j), kac (i, j, cos, sin).
+    cl (leader, follower, z, None), bdg (i, j, w_i, w_j), kac (i, j, cos, -sin).
     kac's cos/sin are taken over the whole column, as both engines do."""
     if kind == "cl":
         i_leads = d1.astype(bool)
         return np.where(i_leads, i, j), np.where(i_leads, j, i), d2, None
     if kind == "kac":
-        return i, j, np.cos(d1), np.sin(d1)
+        ns = np.sin(d1)
+        return i, j, np.cos(d1), np.negative(ns, out=ns)
     return i, j, d1, d2
 
 
@@ -345,9 +406,10 @@ def _apply_events(kind, state, table, n):
 
     The arithmetic is ``_advance``'s, operation for operation, on Python
     floats; every operation is correctly rounded (or ``%``) in both, so the
-    scalar and the vectorised engine agree bit for bit.
+    scalar and the vectorised engine agree bit for bit. The columns are read
+    through memoryviews, which yield Python numbers without a list copy.
     """
-    a, b, va, vb = (None if col is None else col[:n].tolist() for col in table)
+    a, b, va, vb = (None if col is None else memoryview(col[:n]) for col in table)
     two_pi, pi = TWO_PI, np.pi
     if kind == "cl":
         for ia, ib, z in zip(a, b, va):
@@ -360,10 +422,10 @@ def _apply_events(kind, state, table, n):
             state[ia] = (vbar + wa) % two_pi
             state[ib] = (vbar + wb) % two_pi
     else:
-        for ia, ib, c, s in zip(a, b, va, vb):
+        for ia, ib, c, ns in zip(a, b, va, vb):
             vi, vj = state[ia], state[ib]
-            state[ia] = c * vi + s * vj
-            state[ib] = -s * vi + c * vj
+            state[ia] = c * vi - ns * vj
+            state[ib] = ns * vi + c * vj
 
 
 def _draw_initial(model: ModelSpec, initial, n_particles: int, rng) -> np.ndarray:
@@ -504,6 +566,6 @@ def _advance(kind, flat, block, active, e0, e1):
             flat[ib] = (vbar + val_b[e, :a]) % TWO_PI
         else:
             vi, vj = flat[ia], flat[ib]
-            c, s = val_a[e, :a], val_b[e, :a]
-            flat[ia] = c * vi + s * vj
-            flat[ib] = -s * vi + c * vj
+            c, ns = val_a[e, :a], val_b[e, :a]
+            flat[ia] = c * vi - ns * vj
+            flat[ib] = ns * vi + c * vj

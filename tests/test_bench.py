@@ -38,6 +38,8 @@ def test_summary_medians_quartiles_and_pairs_won():
     ("floor_s.a4", True),
     ("pushforward_ms.M256", True),
     ("snapshot_bytes", True),
+    ("simulate_peak_mb.cl_n200", True),
+    ("log_bytes_per_event.cl_wn", True),
 ])
 def test_direction_is_read_from_the_metric_name(name, lower):
     assert compare.lower_is_better(name) is lower

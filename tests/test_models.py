@@ -1,3 +1,6 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -679,6 +682,110 @@ class TestPairDecode:
         forbid(monkeypatch, "_draw_block")
         with pytest.raises(ValueError, match="exceeds"):
             simulate(ModelSpec("cl", UniformNoise()), np.zeros(11), 1.0, replica_rng(0, 0))
+
+
+class TestEventLogStorage:
+    """simulate writes each block's events into log columns allocated once."""
+
+    N, T_END, SEED = 6, 400.0, 515  # about 2400 events: three blocks
+
+    def logged(self, kind):
+        model = ModelSpec(kind, WrappedNormalNoise(0.4))
+        rng = replica_rng(self.SEED, 0)
+        x0 = sample_kac_state(self.N, rng) if kind == "kac" else rng.random(self.N) * TWO_PI
+        return model, x0, simulate(model, x0, self.T_END, rng, record_events=True)
+
+    @pytest.mark.parametrize("kind,dtypes,bytes_per_event", [
+        ("cl", ("float64", "int32", "int32", "uint8", "float64"), 25),
+        ("bdg", ("float64", "int32", "int32", "float64", "float64"), 32),
+        ("kac", ("float64", "int32", "int32", "float64"), 24),
+    ])
+    def test_column_dtypes_and_bytes_per_event(self, kind, dtypes, bytes_per_event):
+        _, _, res = self.logged(kind)
+        cols = [col for col in log_columns(res.events) if col is not None]
+        assert [col.dtype for col in cols] == [np.dtype(dt) for dt in dtypes]
+        assert sum(col.nbytes for col in cols) == bytes_per_event * res.n_events
+
+    @pytest.mark.parametrize("kind", ["cl", "bdg", "kac"])
+    @pytest.mark.parametrize("ints,floats", [("=i8", "=f8"), (">i8", ">f8")],
+                             ids=["native", "big_endian"])
+    def test_replay_of_the_narrow_log_equals_replay_of_a_wide_one(self, kind, ints, floats):
+        # a hand-built log with int64 pairs and coins, in either byte order, replays alike
+        model, x0, res = self.logged(kind)
+        log = res.events
+        wide = EventLog(log.time, log.i.astype(ints), log.j.astype(ints),
+                        log.d1.astype(ints if kind == "cl" else floats),
+                        None if log.d2 is None else log.d2.astype(floats))
+        assert wide.i.dtype.itemsize == 8 and log.i.dtype.itemsize == 4
+        assert np.array_equal(replay(model, x0, wide), replay(model, x0, log))
+        assert np.array_equal(replay(model, x0, log), res.final_state)
+
+    @pytest.mark.parametrize("kind", ["cl", "bdg", "kac"])
+    def test_growing_columns_give_the_same_log(self, kind, monkeypatch):
+        # the columns are allocated at the Poisson bound and not grown; with the
+        # bound shrunk to one event they grow, and the log and end state agree
+        model, x0, res = self.logged(kind)
+        assert res.events.time.base.size == models._log_size(self.N, self.T_END)
+        monkeypatch.setattr(models, "_log_size", lambda n, t_end: 1)
+        _, _, grown = self.logged(kind)
+        assert grown.events.time.base.size > 1
+        assert same_log(grown.events, res.events)
+        assert grown.n_events == res.n_events
+        assert np.array_equal(grown.final_state, res.final_state)
+
+    def test_nothing_is_kept_past_the_cap(self, monkeypatch):
+        # about 200k cl events with the log capped at one block: the run holds
+        # the 1024 logged events and one block's draws, not a slice per block
+        model = ModelSpec("cl", WrappedNormalNoise(0.5))
+        x0 = replica_rng(8, 1).random(50) * TWO_PI
+        full = simulate(model, x0, 4000.0, replica_rng(8, 0), record_events=True)
+        monkeypatch.setattr(models, "EVENT_LOG_CAP", EVENT_BLOCK)
+        tracemalloc.start()
+        try:
+            capped = simulate(model, x0, 4000.0, replica_rng(8, 0), record_events=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert full.n_events > 190_000 and not full.events_truncated
+        assert peak < 1 << 20
+        assert capped.events_truncated and len(capped.events) == EVENT_BLOCK
+        assert same_log(capped.events, log_head(full.events, EVENT_BLOCK))
+        assert capped.n_events == full.n_events
+        assert np.array_equal(capped.final_state, full.final_state)
+
+
+def with_entry(col, k, value):
+    """A copy of col with entry k set to value."""
+    out = col.copy()
+    out[k] = value
+    return out
+
+
+class TestReplayRefusesMalformedLogs:
+    N = 4
+
+    @pytest.mark.parametrize("kind,edit", [
+        ("cl", lambda log, n: {"i": with_entry(log.i, 0, -1)}),
+        ("bdg", lambda log, n: {"i": log.i[:1]}),
+        ("kac", lambda log, n: {"j": with_entry(log.j, 0, log.i[0])}),
+        ("bdg", lambda log, n: {"j": with_entry(log.j, 1, n)}),
+        ("cl", lambda log, n: {"i": log.i.astype(float)}),
+        ("cl", lambda log, n: {"d1": with_entry(log.d1, 1, 2)}),
+        ("kac", lambda log, n: {"d2": log.d1.copy()}),
+        ("cl", lambda log, n: {"d2": None}),
+        ("bdg", lambda log, n: {"d2": None}),
+    ], ids=["i_negative", "i_shorter_than_time", "i_equals_j", "j_past_n", "i_float",
+            "cl_coin_2", "kac_with_d2", "cl_without_d2", "bdg_without_d2"])
+    def test_refuses_before_applying_any_event(self, kind, edit, monkeypatch):
+        model = ModelSpec(kind, WrappedNormalNoise(0.4))
+        rng = replica_rng(3, 0)
+        x0 = sample_kac_state(self.N, rng) if kind == "kac" else rng.random(self.N) * TWO_PI
+        res = simulate(model, x0, 5.0, rng, record_events=True)
+        log = log_head(res.events, 2)
+        assert len(log) == 2 and np.array_equal(replay(model, x0, res.events), res.final_state)
+        forbid(monkeypatch, "_apply_events")
+        with pytest.raises(ValueError, match="event log|coins"):
+            replay(model, x0, dataclasses.replace(log, **edit(log, self.N)))
 
 
 class TestNonFiniteTimes:
