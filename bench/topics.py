@@ -562,6 +562,66 @@ def eventlog_outputs(src: Path, npz: Path) -> None:
     np.savez(npz, **out)
 
 
+# ---------------------------------------------------------------------------
+# rowdots: the midpoint pushforward per call (on one workspace where the side
+# has one, as ``bdg_evolve`` uses it), ``bdg_evolve`` at perfbench's
+# ``reference`` grids and steps, and ``stationary`` at its oracle shapes.
+# Outputs: pushforward and solve masses, and the stationary weights.
+
+PUSHFORWARD_CALLS = 200
+# (tag, M, dt) of reference's solves, each to t = 0.5 from WN(0.5) under WN(0.2)
+REFERENCE_SOLVES = (("M256", 256, 0.02), ("M256_half", 256, 0.01),
+                    ("M512", 512, 0.02), ("M1024", 1024, 0.02))
+
+
+def _pushforward(kinetic, M: int):
+    """src's pushforward on M cells: the workspace kernel, else the per-call einsum."""
+    if hasattr(kinetic, "_Pushforward"):
+        return kinetic._Pushforward(M)
+    return kinetic._pushforward_masses
+
+
+def _reference_solve(circle, kinetic, M: int, dt: float):
+    f0 = circle.WrappedNormalNoise(0.5).tabulate(M)
+    return kinetic.bdg_evolve(f0, circle.WrappedNormalNoise(0.2), 0.5, kinetic.KineticConfig(dt=dt))
+
+
+def rowdots_layers(src: Path) -> dict:
+    """Pushforward microseconds per call, reference's solves and stationary laws."""
+    sys.path.insert(0, str(src))
+    from pairjump import circle, kinetic, models, oracle
+
+    figures = {}
+    for M in GRIDS:
+        p, push = circle.WrappedNormalNoise(0.5).tabulate(M).masses, _pushforward(kinetic, M)
+        figures[f"pushforward_us.M{M}"] = 1e6 * _median_time(lambda: push(p), PUSHFORWARD_CALLS)
+    for tag, M, dt in REFERENCE_SOLVES:
+        figures[f"bdg_evolve_s.{tag}"] = _median_time(
+            lambda: _reference_solve(circle, kinetic, M, dt), EVOLVE_RUNS)
+    for kind, n, m in ORACLE_CASES:
+        solves = [_oracle_solve(circle, models, oracle, kind, n, m)[1]
+                  for _ in range(1 + ORACLE_RUNS)]
+        figures[f"stationary_ms.{kind}_{n}x{m}"] = 1e3 * float(np.median(solves[1:]))
+    return figures
+
+
+def rowdots_outputs(src: Path, npz: Path) -> None:
+    """The pushforward of a random density at each M, reference's solves and stationary laws."""
+    sys.path.insert(0, str(src))
+    from pairjump import circle, kinetic, models, oracle
+
+    out = {}
+    for M in GRIDS:
+        p = np.random.default_rng(M).random(M) ** 3
+        out[f"pushforward.M{M}"] = _pushforward(kinetic, M)(p / p.sum())
+    for tag, M, dt in REFERENCE_SOLVES:
+        out[f"bdg_evolve.{tag}"] = _reference_solve(circle, kinetic, M, dt).masses
+    for kind, n, m in ORACLE_CASES:
+        out[f"stationary.{kind}_{n}x{m}"] = _oracle_solve(circle, models, oracle,
+                                                          kind, n, m)[-1].weights
+    np.savez(npz, **out)
+
+
 # topic: (layers, outputs or None)
 TOPICS = {
     "scalar": (scalar_layers, None),
@@ -572,4 +632,5 @@ TOPICS = {
     "startup": (startup_layers, None),
     "draws": (draws_layers, draws_outputs),
     "eventlog": (eventlog_layers, eventlog_outputs),
+    "rowdots": (rowdots_layers, rowdots_outputs),
 }

@@ -22,10 +22,15 @@ invariant and free of directional drift. The antipodal tie takes the arc
 counterclockwise from the first cell, matching the bdg update of the particle
 engines (``models._apply_events`` and ``models._advance``).
 ``bisector_tables`` states this rule per cell pair (for ``oracle`` and A6's
-O(M^3) gain quadrature); the solver sums it along diagonals of p x p, each
-unordered cell pair once: about M^2/2 products per right-hand side instead of
-M^2 (M^2/4 each for the even and the odd differences, the antipodal pair
-once) and O(M) memory, equal to the tables to rounding.
+O(M^3) gain quadrature); the solver (``_Pushforward``) takes each unordered
+cell pair once, as two dot products per cell over contiguous windows of p,
+one over the even and one over the odd cell differences: about M^2/2
+products per right-hand side instead of M^2 (M^2/4 each, the antipodal pair
+once) and O(M) memory, equal to the tables to rounding. BLAS sums each dot
+in its own order (OpenBLAS: several SIMD partial sums, then their total), so
+results move from any other summation at the level of an ulp, but they do
+not depend on where the window starts: a rotated density gives the rotated
+masses bit for bit.
 The deposition error is O(1/M^2): against the spectral midpoint law
 mu_hat(k) = sum_p fhat(p) fhat(k - p) sinc((k - 2p) / 2), the pushforward of
 a wrapped normal (variance 0.5) has max mode errors (|k| <= 8) of 1.76e-3,
@@ -38,7 +43,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .circle import TWO_PI, FourierDensity, GridDensity, NoiseSpec
 
@@ -99,7 +104,8 @@ def bisector_tables(M: int):
     antipodal case (a quarter turn counterclockwise from the first cell).
 
     Read by ``oracle`` (the seed cell of a departing pair) and the O(M^3) gain
-    quadrature (24 M^2 bytes); the solver applies the rule by diagonal sums.
+    quadrature (24 M^2 bytes); the solver applies the rule by per-cell dot
+    products (``_Pushforward``).
     """
     d = (np.arange(M)[None, :] - np.arange(M)[:, None]) % M
     signed = np.where(d <= M // 2, d, d - M).astype(float)
@@ -113,29 +119,59 @@ def bisector_tables(M: int):
     return lo, hi, w_hi
 
 
-def _pushforward_masses(p: np.ndarray) -> np.ndarray:
-    # midpoint deposition of p x p (M even): a signed cell difference 2j in
-    # (-M/2, M/2] puts the pair (c - j, c + j) on cell c, and 2j + 1 splits
-    # (c - j, c + j + 1) evenly between c and c + 1. The mirror pairs j, -j
-    # (even) and j, -j - 1 (odd) carry equal products, so each is summed once,
-    # over j = 1 .. je and j = 0 .. jo - 1, and doubled; the antipodal
-    # difference M/2 has no mirror and is counted once (even for M >= 4, odd
-    # for M = 2). Row s of the window view is p rolled by -s.
-    M, h = p.size, p.size // 2
-    w = sliding_window_view(np.concatenate((p, p, p)), M)
-    je, jo = (h - 1) // 2, h // 2
-    even = p * p + 2.0 * np.einsum("jc,jc->c", w[M - 1:M - je - 1:-1], w[M + 1:M + je + 1])
-    odd = 2.0 * np.einsum("jc,jc->c", w[M:M - jo:-1], w[M + 1:M + jo + 1])
-    if h % 2 == 0:
-        even += w[M - h // 2] * w[M + h // 2]
-    else:
-        odd += w[M - (h - 1) // 2] * w[M + (h + 1) // 2]
-    return even + 0.5 * (odd + np.roll(odd, 1))
+class _Pushforward:
+    """Midpoint deposition of p x p on M cells (a power of two), on a workspace
+    made once per grid: ``push = _Pushforward(M)``, then ``push(p)`` per call.
+
+    A signed cell difference 2j in (-M/2, M/2] puts the pair (c - j, c + j) on
+    cell c, and 2j + 1 splits (c - j, c + j + 1) evenly between c and c + 1.
+    The mirror pairs j, -j (even) and j, -j - 1 (odd) carry equal products, so
+    each is summed once and doubled; the antipodal difference M/2 has no mirror
+    and is counted once (even for M >= 4, odd for M = 2).
+
+    ``fwd`` holds p three times over and ``rev`` the same reversed, so row k
+    (k = 0 .. M) of the views F and R is p[k + j] and p[k - 1 - j] for j = 0 ..
+    M/4: unit-stride windows, as BLAS needs. Cell c's even sum is
+    R[c] . F[c + 1] over j < (M/2 - 1) // 2 and its odd sum R[c + 1] . F[c + 1]
+    over j < M/4, the antipodal pair in the next column; the odd sums run over
+    c = -1 .. M - 1, so the split onto c + 1 needs no roll. A call refills the
+    copies and does one batched dot per parity: ``np.matmul`` of (M, 1, J) by
+    (M, J, 1) stacks, which numpy hands to BLAS ``ddot`` row by row.
+
+    OpenBLAS splits a dot longer than 10^4 entries across its threads, so at
+    M >= 2^16 (rows of M/4 entries) the masses depend, at the ulp level, on
+    the BLAS thread count; below that, on nothing but p.
+    """
+
+    def __init__(self, M: int):
+        h = M // 2
+        self.M, self.je, self.jo = M, (h - 1) // 2, h // 2
+        self.fwd, self.rev = np.empty(3 * M), np.empty(3 * M)
+        step = self.fwd.itemsize
+        J = self.jo + 1  # the sums' columns and the antipodal one
+        self.F = as_strided(self.fwd[M:], shape=(M + 1, J), strides=(step, step))
+        self.R = as_strided(self.rev[2 * M:], shape=(M + 1, J), strides=(-step, step))
+        self.even, self.odd = np.empty((M, 1, 1)), np.empty((M + 1, 1, 1))
+
+    def __call__(self, p: np.ndarray) -> np.ndarray:
+        M, je, jo, F, R = self.M, self.je, self.jo, self.F, self.R
+        self.fwd.reshape(3, M)[...] = p
+        self.rev.reshape(3, M)[...] = p[::-1]
+        even = np.matmul(R[:M, None, :je], F[1:, :je, None], out=self.even).ravel()
+        odd = np.matmul(R[:, None, :jo], F[:, :jo, None], out=self.odd).ravel()
+        masses = p * p + 2.0 * even
+        if (M // 2) % 2 == 0:
+            masses += R[:M, je] * F[1:, je]
+        else:
+            odd += 0.5 * (R[:, jo] * F[:, jo])
+        # half of each doubled odd sum to either cell: 0.5 * (2a + 2b) = a + b exactly
+        masses += np.add(odd[1:], odd[:-1], out=even)
+        return masses
 
 
-def _gain_masses(p: np.ndarray, gm_hat: np.ndarray) -> np.ndarray:
+def _gain_masses(p: np.ndarray, gm_hat: np.ndarray, push: _Pushforward) -> np.ndarray:
     # midpoint law of p x p convolved with the noise, whose rfft is gm_hat
-    return np.fft.irfft(np.fft.rfft(_pushforward_masses(p)) * gm_hat, p.size)
+    return np.fft.irfft(np.fft.rfft(push(p)) * gm_hat, p.size)
 
 
 def bdg_gain(f: GridDensity, g: NoiseSpec, stats: dict | None = None) -> GridDensity:
@@ -146,7 +182,7 @@ def bdg_gain(f: GridDensity, g: NoiseSpec, stats: dict | None = None) -> GridDen
     if given, ``clipped_cells`` and ``min_pre_clip`` (the least mass before
     clipping, negative iff a cell was clipped).
     """
-    masses = _gain_masses(f.masses, np.fft.rfft(g.tabulate(f.M).masses))
+    masses = _gain_masses(f.masses, np.fft.rfft(g.tabulate(f.M).masses), _Pushforward(f.M))
     low = float(masses.min())
     if low < -1e-12:
         raise ValueError(f"gain came out negative (min {low:.3e})")
@@ -157,11 +193,11 @@ def bdg_gain(f: GridDensity, g: NoiseSpec, stats: dict | None = None) -> GridDen
     return GridDensity.from_unnormalized(masses * (f.M / TWO_PI))
 
 
-def _gain_rhs(p: np.ndarray, gm_hat: np.ndarray) -> np.ndarray:
+def _gain_rhs(p: np.ndarray, gm_hat: np.ndarray, push: _Pushforward) -> np.ndarray:
     # d p / dt in mass space. The gain has mass sum(p)^2, so a loss of sum(p) * p
     # keeps any mass still; a loss of p would make mass 1 repelling, and rounding
     # would grow like e^(RATE_FACTOR * t) into the drift abort by t ~ 7-9
-    return RATE_FACTOR * (_gain_masses(p, gm_hat) - p.sum() * p)
+    return RATE_FACTOR * (_gain_masses(p, gm_hat, push) - p.sum() * p)
 
 
 def bdg_evolve(f0: GridDensity, g: NoiseSpec, t: float,
@@ -179,12 +215,12 @@ def bdg_evolve(f0: GridDensity, g: NoiseSpec, t: float,
     p = f0.masses.copy()
     steps = 0 if t == 0.0 else max(1, int(np.ceil(t / config.dt - 1e-12)))
     clipped, lowest, h = 0, float(p.min()), t / max(steps, 1)
-    gm_hat = np.fft.rfft(g.tabulate(f0.M).masses)
+    gm_hat, push = np.fft.rfft(g.tabulate(f0.M).masses), _Pushforward(f0.M)
     for _ in range(steps):
-        k1 = _gain_rhs(p, gm_hat)
-        k2 = _gain_rhs(p + 0.5 * h * k1, gm_hat)
-        k3 = _gain_rhs(p + 0.5 * h * k2, gm_hat)
-        k4 = _gain_rhs(p + h * k3, gm_hat)
+        k1 = _gain_rhs(p, gm_hat, push)
+        k2 = _gain_rhs(p + 0.5 * h * k1, gm_hat, push)
+        k3 = _gain_rhs(p + 0.5 * h * k2, gm_hat, push)
+        k4 = _gain_rhs(p + h * k3, gm_hat, push)
         p = p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         mass = p.sum()
         if abs(mass - 1.0) > 1e-10:

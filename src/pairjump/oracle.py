@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -75,12 +75,19 @@ class TransitionMatrix:
     """One-jump chain on the multisets of N cells, kept as the two halves of a
     jump: ``out`` takes a pair out (row: a state; column: the rest of N - 2
     particles times M plus the seed cell) and ``into`` puts two back (row: rest
-    and seed; column: a state). The row-stochastic P = out @ into is not stored."""
+    and seed; column: a state). The row-stochastic P = out @ into is not stored.
+    The halves are CSC so that their transposes, which ``rmatvec`` applies, are
+    CSR views of the same arrays, made once with the matrix."""
 
     n_particles: int
     grid_size: int
     out: sp.csc_matrix
     into: sp.csc_matrix
+    _out_T: sp.csr_matrix = field(init=False, repr=False)
+    _into_T: sp.csr_matrix = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self._out_T, self._into_T = self.out.T, self.into.T
 
     @property
     def n_states(self) -> int:
@@ -97,7 +104,7 @@ class TransitionMatrix:
         w = np.asarray(w, dtype=float)
         if w.shape != (self.n_states,):
             raise ValueError(f"weights must be flat with C(M+N-1, N) = {self.n_states} entries")
-        return self.into.T @ (self.out.T @ w)
+        return self._into_T @ (self._out_T @ w)
 
 
 @dataclass(eq=False)

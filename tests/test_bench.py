@@ -40,6 +40,9 @@ def test_summary_medians_quartiles_and_pairs_won():
     ("snapshot_bytes", True),
     ("simulate_peak_mb.cl_n200", True),
     ("log_bytes_per_event.cl_wn", True),
+    ("pushforward_us.M256", True),
+    ("bdg_evolve_s.M256_half", True),
+    ("stationary_ms.bdg_3x16", True),
 ])
 def test_direction_is_read_from_the_metric_name(name, lower):
     assert compare.lower_is_better(name) is lower

@@ -15,7 +15,7 @@ from pairjump.diagnostics import summarize
 from pairjump.kinetic import (
     RATE_FACTOR,
     KineticConfig,
-    _pushforward_masses,
+    _Pushforward,
     bdg_evolve,
     bdg_gain,
     bisector_tables,
@@ -66,6 +66,11 @@ def table_deposition(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
     out = np.bincount(lo.ravel(), weights=pm * (1.0 - w), minlength=M)
     out += np.bincount(hi.ravel(), weights=pm * w, minlength=M)
     return out
+
+
+def pushforward(p: np.ndarray) -> np.ndarray:
+    """The solver's midpoint deposition of p x p, on a fresh workspace."""
+    return _Pushforward(p.size)(p)
 
 
 def half_circle(M):
@@ -210,7 +215,7 @@ class TestPushforward:
         p = rng.random(M) ** 3
         p /= p.sum()
         want = table_deposition(p, p)
-        got = _pushforward_masses(p)
+        got = pushforward(p)
         assert np.max(np.abs(got - want)) <= 1e-14 * want.max()
 
     @pytest.mark.parametrize("M", [2, 4, 8, 1024])
@@ -219,21 +224,38 @@ class TestPushforward:
         # no even mirror pair and an even antipodal difference
         p = np.random.default_rng(M).random(M)
         p /= p.sum()
-        out = _pushforward_masses(p)
+        out = pushforward(p)
         for s in (1, 2, 3, M // 2 + 1):
-            assert np.array_equal(_pushforward_masses(np.roll(p, s)), np.roll(out, s))
+            assert np.array_equal(pushforward(np.roll(p, s)), np.roll(out, s))
+
+    @pytest.mark.parametrize("M", [2, 4, 256])
+    def test_reused_workspace_gives_fresh_workspace_bytes(self, M):
+        # one workspace serves every right-hand side of a solve: a call must not
+        # see the previous input, and a result must not live in the buffers the
+        # next call refills
+        rng = np.random.default_rng(M)
+        p1, p2 = rng.random(M), rng.random(M)
+        push = _Pushforward(M)
+        got = [push(p1), push(p2), push(p1)]
+        for p, out in zip((p1, p2, p1), got):
+            assert out.tobytes() == _Pushforward(M)(p).tobytes()
+        buffers = [v for v in vars(push).values() if isinstance(v, np.ndarray)]
+        assert buffers
+        for out in got:
+            assert out.flags.owndata
+            assert not any(np.shares_memory(out, b) for b in buffers)
 
     def test_point_mass_fixed(self):
         M = 32
         p = np.zeros(M)
         p[5] = 1.0
-        out = _pushforward_masses(p)
+        out = pushforward(p)
         assert out[5] == pytest.approx(1.0, abs=1e-12)
 
     def test_uniform_fixed(self):
         M = 64
         p = np.full(M, 1.0 / M)
-        assert_allclose(_pushforward_masses(p), 1.0 / M, rtol=0, atol=1e-14)
+        assert_allclose(pushforward(p), 1.0 / M, rtol=0, atol=1e-14)
 
     def test_two_point_masses(self):
         # equal masses at 0 and pi/2: ordered pairs (0,0), (q,q) keep their
@@ -241,7 +263,7 @@ class TestPushforward:
         M = 16
         p = np.zeros(M)
         p[0] = p[4] = 0.5
-        m = _pushforward_masses(p)
+        m = pushforward(p)
         assert m[0] == pytest.approx(0.25, abs=1e-12)
         assert m[4] == pytest.approx(0.25, abs=1e-12)
         assert m[2] == pytest.approx(0.5, abs=1e-12)
@@ -250,7 +272,7 @@ class TestPushforward:
     def test_mass_one(self):
         rng = np.random.default_rng(0)
         p = GridDensity.from_unnormalized(rng.random(128) + 0.01).masses
-        assert _pushforward_masses(p).sum() == pytest.approx(1.0, abs=1e-12)
+        assert pushforward(p).sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_converges_to_spectral_law_like_inverse_m_squared(self):
         # the shorter-arc midpoint law of two i.i.d. angles has modes
@@ -263,7 +285,7 @@ class TestPushforward:
 
         def midpoint_law(M):
             p = f.tabulate(M).masses
-            return GridDensity.from_unnormalized(_pushforward_masses(p))
+            return GridDensity.from_unnormalized(pushforward(p))
 
         err = {M: np.max(np.abs(fourier_coeffs(midpoint_law(M), 8).coeffs - want))
                for M in (256, 512)}
@@ -292,6 +314,15 @@ class TestGain:
         want = _quadrature_gain(f, g) * (M / TWO_PI)
         assert np.max(np.abs(got.values - want)) < 1e-8
 
+    def test_is_one_pushforward_then_the_noise_convolution(self):
+        M = 64
+        f = GridDensity.from_unnormalized(np.random.default_rng(4).random(M) + 0.05)
+        g = WrappedNormalNoise(0.3)
+        masses = np.fft.irfft(np.fft.rfft(pushforward(f.masses))
+                              * np.fft.rfft(g.tabulate(M).masses), M)
+        want = GridDensity.from_unnormalized(np.clip(masses, 0.0, None) * (M / TWO_PI))
+        assert bdg_gain(f, g).values.tobytes() == want.values.tobytes()
+
     def test_mass_one(self):
         rng = np.random.default_rng(2)
         f = GridDensity.from_unnormalized(rng.random(128) + 0.05)
@@ -305,7 +336,7 @@ class TestGain:
         rng = np.random.default_rng(3)
         p1 = GridDensity.from_unnormalized(rng.random(M) + 0.1).masses
         p2 = GridDensity.from_unnormalized(rng.random(M) + 0.1).masses
-        push = _pushforward_masses
+        push = pushforward
         B11, B22 = push(p1), push(p2)
         cross = 4.0 * push(0.5 * (p1 + p2)) - B11 - B22
         a = 0.3

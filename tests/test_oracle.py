@@ -207,6 +207,27 @@ class TestPairFactors:
         w = np.random.default_rng(N * M).random(tm.n_states)
         assert np.abs(tm.rmatvec(w) - (out1 @ out2 @ in1 @ in2).T @ w).max() <= 1e-14
 
+    @pytest.mark.parametrize("kind", ["cl", "bdg"])
+    def test_rmatvec_applies_transposes_kept_with_the_matrix(self, kind, monkeypatch):
+        # out^T and into^T are CSR views of the halves' own arrays, made with
+        # the matrix: a power step transposes nothing and gives the same bits
+        tm = build_transition(ModelSpec(kind, tabulated_wn(0.5, 8)), 4, 8)
+        w = np.random.default_rng(5).random(tm.n_states)
+        want = tm.into.T @ (tm.out.T @ w)
+        for half, kept in ((tm.out, tm._out_T), (tm.into, tm._into_T)):
+            assert kept.format == "csr" and kept.shape == half.shape[::-1]
+            for name in ("data", "indices", "indptr"):
+                assert np.shares_memory(getattr(kept, name), getattr(half, name))
+
+        def no_transpose(self, *args, **kwargs):
+            raise AssertionError("rmatvec transposed a half")
+
+        monkeypatch.setattr(type(tm.out), "transpose", no_transpose)
+        kept = tm._out_T, tm._into_T
+        for _ in range(2):
+            assert tm.rmatvec(w).tobytes() == want.tobytes()
+            assert tm._out_T is kept[0] and tm._into_T is kept[1]
+
     def test_rmatvec_rejects_wrong_length(self):
         tm = build_transition(ModelSpec("cl", tabulated_wn(0.5, 4)), 3, 4)
         assert tm.n_states == 20  # C(6, 3) multisets, against 4^3 labelled states
