@@ -6,7 +6,8 @@
 
 TOPIC names an entry of ``bench/topics.py``; its code runs on each checkout's
 ``src/``, every run in a fresh process, the side that runs first alternating.
-The output holds ``layers`` (per repeat), ``agreement`` (topics with outputs),
+The output holds ``src_lines`` (lines of ``src/pairjump/*.py`` per side and
+file, and the net change), ``layers`` (per repeat), ``agreement`` (topics with outputs),
 ``workloads`` (each side's ``perfbench/run.py --trace 0`` per seed, and the
 seeds whose output digests differ between the sides), ``tier1``
 (each side's test suite, R times) and ``traced`` (one ``--trace 1`` run per
@@ -88,6 +89,20 @@ def _metrics(runs: dict) -> dict:
         else:
             metrics[name] = {side: sorted(set(v)) for side, v in per.items()}
     return metrics
+
+
+def compare_src_lines(sides: dict) -> dict:
+    """Lines of src/pairjump/*.py per side (newlines, as ``wc -l`` counts them), the
+    net change, and the net change of each file whose count differs."""
+    per = {side: {p.name: p.read_bytes().count(b"\n")
+                  for p in (root / "src" / "pairjump").glob("*.py")}
+           for side, root in sides.items()}
+    parent, change = per["parent"], per["change"]
+    by_file = {name: change.get(name, 0) - parent.get(name, 0)
+               for name in sorted(parent.keys() | change.keys())}
+    return {"parent": sum(parent.values()), "change": sum(change.values()),
+            "net": sum(change.values()) - sum(parent.values()),
+            "by_file": {name: d for name, d in by_file.items() if d}}
 
 
 def compare_layers(topic: str, sides: dict, repeats: int) -> dict:
@@ -204,6 +219,7 @@ def main(argv=None) -> int:
         if args.out is not None:
             args.out.write_text(json.dumps(result, indent=1) + "\n")
 
+    section("src_lines", compare_src_lines(sides))
     section("layers", compare_layers(args.topic, sides, args.repeats))
     if outputs is not None:
         section("agreement", compare_outputs(args.topic, sides))

@@ -388,8 +388,7 @@ def startup_layers(src: Path) -> dict:
 # ---------------------------------------------------------------------------
 # draws: what both particle engines pay per block of EVENT_BLOCK events outside
 # the per-event loop. The pair decode and the angle wrap are timed per block,
-# each call on a fresh random array (a repeated array lets the branch predictor
-# learn a binary search's path); ``_draw_block`` per block for each scalar
+# each call on a fresh random array; ``_draw_block`` per block for each scalar
 # case; then ``simulate`` per scalar case (events per second) and
 # ``simulate_ensemble`` at perfbench's ``ensemble`` shape (its four jobs) and at
 # A4's N = 800. Outputs are the end states, event logs and snapshots.
@@ -406,19 +405,6 @@ ENSEMBLE_CASES = (
                                ("bdg_wn", "bdg", ("WrappedNormalNoise", 0.2)))),
     ("a4_n800", "cl", ("WrappedNormalNoise", 0.5), 800, 400, 1.0, (1.0,)),
 )
-
-
-def _decoder(models):
-    """The pair decode of src's ``_draw_block``: closed form where the module has one,
-    else the binary search over the row offsets that it replaced."""
-    decode = getattr(models, "_decode_pairs", None)
-    if decode is not None:
-        return decode
-
-    def searchsorted(m, offsets):
-        i = np.searchsorted(offsets, m, side="right") - 1
-        return i, m - offsets[i] + i + 1
-    return searchsorted
 
 
 def _per_block_us(fn, inputs) -> float:
@@ -446,11 +432,11 @@ def draws_layers(src: Path) -> dict:
     B = models.EVENT_BLOCK
     rng = np.random.default_rng(2026)
     figures = {}
-    decode = _decoder(models)
     for n in DECODE_NS:
         offsets = models._pair_offsets(n)
         keys = rng.integers(n * (n - 1) // 2, size=(BLOCK_ROUNDS, BLOCK_CALLS, B))
-        figures[f"decode_us.N{n}"] = _per_block_us(lambda m: decode(m, offsets), keys)
+        figures[f"decode_us.N{n}"] = _per_block_us(lambda m: models._decode_pairs(m, offsets),
+                                                    keys)
     angles = rng.normal(0.0, np.sqrt(0.5), (BLOCK_ROUNDS, BLOCK_CALLS, B))
     figures["wrap_us.wn05"] = _per_block_us(circle.wrap_angle, angles)
     for k, (tag, kind, noise, n, _) in enumerate(SIMULATE_CASES):
@@ -563,8 +549,8 @@ def eventlog_outputs(src: Path, npz: Path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# rowdots: the midpoint pushforward per call (on one workspace where the side
-# has one, as ``bdg_evolve`` uses it), ``bdg_evolve`` at perfbench's
+# rowdots: the midpoint pushforward per call (on one workspace, as
+# ``bdg_evolve`` uses it), ``bdg_evolve`` at perfbench's
 # ``reference`` grids and steps, and ``stationary`` at its oracle shapes.
 # Outputs: pushforward and solve masses, and the stationary weights.
 
@@ -572,13 +558,6 @@ PUSHFORWARD_CALLS = 200
 # (tag, M, dt) of reference's solves, each to t = 0.5 from WN(0.5) under WN(0.2)
 REFERENCE_SOLVES = (("M256", 256, 0.02), ("M256_half", 256, 0.01),
                     ("M512", 512, 0.02), ("M1024", 1024, 0.02))
-
-
-def _pushforward(kinetic, M: int):
-    """src's pushforward on M cells: the workspace kernel, else the per-call einsum."""
-    if hasattr(kinetic, "_Pushforward"):
-        return kinetic._Pushforward(M)
-    return kinetic._pushforward_masses
 
 
 def _reference_solve(circle, kinetic, M: int, dt: float):
@@ -593,7 +572,7 @@ def rowdots_layers(src: Path) -> dict:
 
     figures = {}
     for M in GRIDS:
-        p, push = circle.WrappedNormalNoise(0.5).tabulate(M).masses, _pushforward(kinetic, M)
+        p, push = circle.WrappedNormalNoise(0.5).tabulate(M).masses, kinetic._Pushforward(M)
         figures[f"pushforward_us.M{M}"] = 1e6 * _median_time(lambda: push(p), PUSHFORWARD_CALLS)
     for tag, M, dt in REFERENCE_SOLVES:
         figures[f"bdg_evolve_s.{tag}"] = _median_time(
@@ -613,12 +592,83 @@ def rowdots_outputs(src: Path, npz: Path) -> None:
     out = {}
     for M in GRIDS:
         p = np.random.default_rng(M).random(M) ** 3
-        out[f"pushforward.M{M}"] = _pushforward(kinetic, M)(p / p.sum())
+        out[f"pushforward.M{M}"] = kinetic._Pushforward(M)(p / p.sum())
     for tag, M, dt in REFERENCE_SOLVES:
         out[f"bdg_evolve.{tag}"] = _reference_solve(circle, kinetic, M, dt).masses
     for kind, n, m in ORACLE_CASES:
         out[f"stationary.{kind}_{n}x{m}"] = _oracle_solve(circle, models, oracle,
                                                           kind, n, m)[-1].weights
+    np.savez(npz, **out)
+
+
+# ---------------------------------------------------------------------------
+# exactroute: the exact-reference path of perfbench's ``reference`` outside the
+# kinetic solves. ``build_transition`` and ``stationary`` at its oracle shapes
+# (as in rowdots), ``pair_correlation_series`` at its sizes (both noises, K = 64,
+# tol = 1e-10, per N), and each largest admitted build in a fresh process: its
+# seconds and the process's peak resident memory. Outputs: the four factors'
+# arrays, the stationary weights and the series profiles, which must agree bit
+# for bit.
+
+SERIES_NS, SERIES_VARS, SERIES_RUNS = (3, 10, 100), (0.1, 1.0), 25
+LARGEST_BUILDS = (("cl", 78, 4), ("cl", 3, 64), ("bdg", 5, 16))
+BUILD_PROBE = """
+import json, resource, sys, time
+from pairjump import circle, models, oracle
+kind, n, m = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
+g = circle.TabulatedNoise(circle.WrappedNormalNoise(0.5).tabulate(m).values)
+t = time.perf_counter()
+oracle.build_transition(models.ModelSpec(kind, g), n, m)
+print(json.dumps([time.perf_counter() - t,
+                  resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0]))
+"""
+
+
+def _series(circle, invariant, n):
+    return [invariant.pair_correlation_series(circle.WrappedNormalNoise(var), n, 64, tol=1e-10)[0]
+            for var in SERIES_VARS]
+
+
+def exactroute_layers(src: Path) -> dict:
+    """Oracle builds and power iterations at reference's shapes, its series per N, and
+    the largest builds' seconds and peak memory, for the pairjump in src."""
+    sys.path.insert(0, str(src))
+    from pairjump import circle, invariant, models, oracle
+
+    figures = {}
+    for kind, n, m in ORACLE_CASES:
+        runs = [_oracle_solve(circle, models, oracle, kind, n, m) for _ in range(1 + ORACLE_RUNS)]
+        build, solve = zip(*(r[:2] for r in runs[1:]))
+        figures[f"build_ms.{kind}_{n}x{m}"] = 1e3 * float(np.median(build))
+        figures[f"stationary_ms.{kind}_{n}x{m}"] = 1e3 * float(np.median(solve))
+    for n in SERIES_NS:
+        figures[f"series_ms.N{n}"] = 1e3 * _median_time(lambda: _series(circle, invariant, n),
+                                                         SERIES_RUNS)
+    for kind, n, m in LARGEST_BUILDS:
+        build_s, rss_mb = json.loads(_fresh(src, BUILD_PROBE, kind, str(n), str(m))[1])
+        figures[f"largest_build_s.{kind}_{n}x{m}"] = build_s
+        figures[f"largest_build_rss_mb.{kind}_{n}x{m}"] = rss_mb
+    return figures
+
+
+def exactroute_outputs(src: Path, npz: Path) -> None:
+    """The factors' arrays and stationary weights at each oracle shape (and bdg and
+    cl 5x8), and the series profiles."""
+    sys.path.insert(0, str(src))
+    from pairjump import circle, invariant, models, oracle
+
+    out = {}
+    for kind, n, m in (*ORACLE_CASES, ("cl", 5, 8), ("bdg", 5, 8)):
+        g = circle.TabulatedNoise(circle.WrappedNormalNoise(0.5).tabulate(m).values)
+        for i, f in enumerate(oracle._factors(models.ModelSpec(kind, g), n, m)):
+            for name in ("indptr", "indices", "data"):
+                out[f"factor{i}_{name}.{kind}_{n}x{m}"] = getattr(f, name)
+        if (kind, n, m) in ORACLE_CASES:
+            out[f"stationary.{kind}_{n}x{m}"] = _oracle_solve(circle, models, oracle,
+                                                              kind, n, m)[-1].weights
+    for n in (*SERIES_NS, 1000):
+        for var, prof in zip(SERIES_VARS, _series(circle, invariant, n)):
+            out[f"series.N{n}_var{var}"] = prof.fhat
     np.savez(npz, **out)
 
 
@@ -633,4 +683,5 @@ TOPICS = {
     "draws": (draws_layers, draws_outputs),
     "eventlog": (eventlog_layers, eventlog_outputs),
     "rowdots": (rowdots_layers, rowdots_outputs),
+    "exactroute": (exactroute_layers, exactroute_outputs),
 }

@@ -31,6 +31,8 @@ __all__ = [
     "heat_kernel_family",
 ]
 
+SERIES_BLOCK = 2 ** 12  # entries in a block of the series' terms, rows of its live modes
+
 
 @dataclass(frozen=True, eq=False)
 class CorrelationProfile:
@@ -108,11 +110,21 @@ def pair_correlation_series(g: NoiseSpec, n_particles: int, K: int,
     ghat = np.asarray(g.fourier(np.arange(K + 1)), dtype=float)
     r = (n_particles - 2.0) / (n_particles - 1.0)
     base = r * ghat
-    term = base.copy()
-    acc = term.copy()
-    for _ in range(L - 1):
-        term = term * base
-        acc += term
+    # the loop term_l = term_{l-1} * base, acc_l = acc_{l-1} + term_l for l = 1..L,
+    # from the identities term_0 = 1 and acc_0 = -0.0, as running products and then
+    # running sums down blocks of rows, each block started from the rows the one
+    # before ended on. Once a mode's term is 0, adding the zeros that follow keeps
+    # its sum bit for bit unless the sum is -0.0, so the mode leaves the blocks.
+    term, acc, live, done = np.ones_like(base), np.full_like(base, -0.0), np.arange(base.size), 0
+    while done < L and live.size:
+        rows = min(L - done, max(1, SERIES_BLOCK // live.size))
+        block = np.empty((rows + 1, live.size))
+        block[0], block[1:] = term[live], base[live]
+        term[live] = np.multiply.accumulate(block, axis=0, out=block)[-1]
+        block[0] = acc[live]
+        acc[live] = np.add.accumulate(block, axis=0, out=block)[-1]
+        live = live[(term[live] != 0.0) | ((acc[live] == 0.0) & np.signbit(acc[live]))]
+        done += rows
     bound = ((n_particles - 1.0) / (n_particles - 2.0)) * r ** (L + 1)
     return CorrelationProfile(fhat=acc / (n_particles - 2.0)), bound
 

@@ -119,6 +119,21 @@ def bisector_tables(M: int):
     return lo, hi, w_hi
 
 
+ROW_DOT_MAX = 8192  # entries per BLAS dot; OpenBLAS runs a dot of up to 10^4 on one thread
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """a[i] . b[i] for the rows of two (n, J) views with unit-stride rows, into out,
+    shaped (n, 1, 1): ``np.matmul`` of (n, 1, J) by (n, J, 1) stacks, which numpy
+    hands to BLAS ``ddot`` row by row. A row longer than ROW_DOT_MAX is dotted in
+    parts of at most that length, added left to right, so that no dot is split
+    across BLAS threads and the sums depend on nothing but a and b."""
+    np.matmul(a[:, None, :ROW_DOT_MAX], b[:, :ROW_DOT_MAX, None], out=out)
+    for lo in range(ROW_DOT_MAX, a.shape[1], ROW_DOT_MAX):
+        out += np.matmul(a[:, None, lo:lo + ROW_DOT_MAX], b[:, lo:lo + ROW_DOT_MAX, None])
+    return out.ravel()
+
+
 class _Pushforward:
     """Midpoint deposition of p x p on M cells (a power of two), on a workspace
     made once per grid: ``push = _Pushforward(M)``, then ``push(p)`` per call.
@@ -135,12 +150,15 @@ class _Pushforward:
     R[c] . F[c + 1] over j < (M/2 - 1) // 2 and its odd sum R[c + 1] . F[c + 1]
     over j < M/4, the antipodal pair in the next column; the odd sums run over
     c = -1 .. M - 1, so the split onto c + 1 needs no roll. A call refills the
-    copies and does one batched dot per parity: ``np.matmul`` of (M, 1, J) by
-    (M, J, 1) stacks, which numpy hands to BLAS ``ddot`` row by row.
+    copies and does one batched dot per parity (``_row_dots``).
 
-    OpenBLAS splits a dot longer than 10^4 entries across its threads, so at
-    M >= 2^16 (rows of M/4 entries) the masses depend, at the ulp level, on
-    the BLAS thread count; below that, on nothing but p.
+    OpenBLAS splits a dot longer than 10^4 entries across its threads, so
+    ``_row_dots`` dots rows longer than ROW_DOT_MAX = 8192 in parts: from
+    M = 2^16 (rows of M/4 entries) the masses are sums of two or more such
+    parts, and at every M they depend on nothing but p, whatever the BLAS
+    thread count. At M = 2^16 a call took 0.47-0.53 s (2-CPU x86-64, OpenBLAS
+    0.3.31), as the whole-row dots did on one BLAS thread (0.49 s; 0.38 s on
+    two, with other bits).
     """
 
     def __init__(self, M: int):
@@ -157,8 +175,8 @@ class _Pushforward:
         M, je, jo, F, R = self.M, self.je, self.jo, self.F, self.R
         self.fwd.reshape(3, M)[...] = p
         self.rev.reshape(3, M)[...] = p[::-1]
-        even = np.matmul(R[:M, None, :je], F[1:, :je, None], out=self.even).ravel()
-        odd = np.matmul(R[:, None, :jo], F[:, :jo, None], out=self.odd).ravel()
+        even = _row_dots(R[:M, :je], F[1:, :je], self.even)
+        odd = _row_dots(R[:, :jo], F[:, :jo], self.odd)
         masses = p * p + 2.0 * even
         if (M // 2) % 2 == 0:
             masses += R[:M, je] * F[1:, je]

@@ -26,6 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -47,18 +48,26 @@ __all__ = [
 ]
 
 # Caps on the entries a build holds (``_stored_entries``; by ru_maxrss with the stationary
-# law, 9 to 34 bytes each over 30 MB, cl N=3, M=64 and N=78, M=4 peaking highest at
-# 0.22 GB) and a marginal lists.
+# law, 13 to 35 bytes each over a 30 MB interpreter at cl 3x64, 6x16, 12x8 and 78x4 and
+# bdg 3x32 and 5x16, cl N=3, M=64 and N=78, M=4 peaking highest at 0.22 GB) and a
+# marginal lists.
 BUILD_CAP, ENTRY_CAP = 12 * 2 ** 20, 2 ** 24
 
 
 def _multisets(N: int, M: int) -> np.ndarray:
     """Every N-multiset of the M cells, ascending down a column: X[i, r] is
-    the i-th smallest cell of the state of rank r (shape (0, 1) for N = 0)."""
-    n = math.comb(M + N - 1, N)
-    flat = itertools.chain.from_iterable(itertools.combinations_with_replacement(range(M), N))
-    X = np.fromiter(flat, dtype=np.int32, count=n * N).reshape(n, N).T
-    return X[:, np.argsort(_rank(X, M))]
+    the i-th smallest cell of the state of rank r (shape (0, 1) for N = 0).
+
+    Rank order sorts by the largest cell v, then by the rank of the rest: the
+    C(v + k - 1, k) k-multisets of cells below v come first. So each place, from
+    the last, is read off the rank, which then drops to the rest's."""
+    X = np.empty((N, math.comb(M + N - 1, N)), dtype=np.int32)
+    rank = np.arange(X.shape[1])
+    for k in range(N, 0, -1):
+        first = np.array([math.comb(v + k - 1, k) for v in range(M)])
+        X[k - 1] = np.searchsorted(first, rank, side="right") - 1
+        rank -= first[X[k - 1]]
+    return X
 
 
 def _rank(X, M: int, place: int = 0):
@@ -66,8 +75,17 @@ def _rank(X, M: int, place: int = 0):
     places i >= place, whose cells there are the rows of X (any iterable)."""
     rank = 0
     for i, x in enumerate(X, place):
-        rank = rank + np.array([math.comb(v + i, i + 1) for v in range(M)], dtype=np.int32)[x]
+        rank = rank + _binomial_row(i, M)[x]
     return rank
+
+
+@lru_cache(maxsize=None)
+def _binomial_row(i: int, M: int) -> np.ndarray:
+    """C(v + i, i + 1) for the cells v < M: place i's share of a rank (read-only;
+    4 M bytes per place and grid)."""
+    row = np.array([math.comb(v + i, i + 1) for v in range(M)], dtype=np.int32)
+    row.setflags(write=False)
+    return row
 
 
 @dataclass(eq=False)
@@ -139,18 +157,30 @@ class JointDensity:
 def _take_out(k: int, M: int, n_seeds: int, rule) -> sp.csr_matrix:
     """Factor taking one of k particles out, each with weight 1/k: row r * n_seeds
     + a (the state of rank r, seed a) goes to column rank(rest) * M + m with weight
-    w for each (m, w) in rule(a, b), b the cell out; equal cells merge."""
+    w for each (m, w) in rule(a, b), b the cell out; equal cells merge.
+
+    Particles on one cell leave the same rest, so each run of equal cells fills one
+    slot per branch of its row, its weights added in particle order; the factor is
+    one CSR build from these min(k, M) * branches slots a row, zeros dropped."""
     import scipy.sparse as sp
 
-    X, n_rows, out = _multisets(k, M), math.comb(M + k - 1, k) * n_seeds, 0
+    X, branches = _multisets(k, M), len(rule(0, 0))
+    states, run = np.arange(X.shape[1]), np.zeros(X.shape[1], dtype=np.intp)
+    cols = np.zeros((X.shape[1], n_seeds, min(k, M) * branches), dtype=np.int32)
+    vals = np.zeros(cols.shape)
     rest = np.zeros(X.shape[1], dtype=np.int32) + _rank(X[1:], M)  # without place 0
     for j in range(k):
         if j:  # the gap moves up: x_{j-1} takes place j-1 back from x_j
             rest = rest + _rank(X[j - 1:j], M, j - 1) - _rank(X[j:j + 1], M, j - 1)
-        for m, w in rule(np.arange(n_seeds), X[j][:, None]):
-            cols, vals = np.broadcast_arrays(rest[:, None] * M + m, np.divide(w, k))
-            out = out + sp.csr_matrix((vals.ravel(), cols.ravel(), np.arange(n_rows + 1)),
-                                      shape=(n_rows, math.comb(M + k - 2, k - 1) * M))
+            run += X[j] != X[j - 1]
+        for b, (m, w) in enumerate(rule(np.arange(n_seeds), X[j][:, None])):
+            slot = run * branches + b
+            cols[states, :, slot] = rest[:, None] * M + m
+            vals[states, :, slot] += np.divide(w, k)
+    out = sp.csr_matrix((vals.ravel(), cols.ravel(), np.arange(0, cols.size + 1, cols.shape[2])),
+                        shape=(X.shape[1] * n_seeds, math.comb(M + k - 2, k - 1) * M))
+    out.sort_indices()
+    out.eliminate_zeros()  # slots a row leaves unused, and bdg's w_hi = 0 branch
     return out
 
 

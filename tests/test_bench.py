@@ -3,9 +3,7 @@
 import json
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
-import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -70,20 +68,6 @@ def test_scalar_layers_report_the_recorded_metrics(monkeypatch):
     assert all(v > 0 for v in got.values())
 
 
-def test_draws_times_the_decode_each_side_runs(monkeypatch):
-    # the parent side of the draws topic times the binary search _draw_block used
-    # before the closed form; both decode every pair alike
-    monkeypatch.setattr(sys, "path", [str(ROOT / "src"), *sys.path])
-    from pairjump import models
-
-    offsets = models._pair_offsets(50)
-    m = np.random.default_rng(3).integers(50 * 49 // 2, size=4096)
-    closed = topics._decoder(models)
-    search = topics._decoder(SimpleNamespace())
-    assert closed is models._decode_pairs
-    assert all(np.array_equal(a, b) for a, b in zip(closed(m, offsets), search(m, offsets)))
-
-
 def test_out_keeps_finished_sections_when_a_later_step_fails(tmp_path, monkeypatch):
     def failing_workloads(*args):
         raise RuntimeError("a workload failed its checks")
@@ -118,3 +102,16 @@ def test_workloads_report_the_seeds_whose_digests_differ(monkeypatch):
         assert got[w]["seeds"] == [1, 2, 3]
         assert list(got[w]["metrics"]) == ["wall_s"]
         assert got[w]["metrics"]["wall_s"]["parent_runs"] == [2.0, 3.0, 4.0]
+
+
+def test_src_lines_count_each_side_and_the_net_change(tmp_path):
+    for side, files in (("parent", {"a.py": "x\ny\n", "b.py": "z\n", "gone.py": "1\n2\n"}),
+                        ("change", {"a.py": "x\ny\nw\n", "b.py": "z\n", "new.py": "1\n"})):
+        pkg = tmp_path / side / "src" / "pairjump"
+        pkg.mkdir(parents=True)
+        for name, text in files.items():
+            (pkg / name).write_text(text)
+        (pkg / "notes.txt").write_text("not counted\n")
+    got = compare.compare_src_lines({side: tmp_path / side for side in ("parent", "change")})
+    assert got == {"parent": 5, "change": 5, "net": 0,
+                   "by_file": {"a.py": 1, "gone.py": -2, "new.py": 1}}

@@ -14,6 +14,7 @@ from pairjump.circle import (
     fourier_coeffs,
 )
 from pairjump.invariant import (
+    SERIES_BLOCK,
     CorrelationProfile,
     gamma_from_noise,
     heat_kernel_family,
@@ -50,6 +51,27 @@ def grid_series_profile(g, n_particles, K, L, M=512):
 def tail_bound(n_particles, L):
     r = (n_particles - 2.0) / (n_particles - 1.0)
     return (n_particles - 1.0) / (n_particles - 2.0) * r ** (L + 1)
+
+
+def loop_series(g, n_particles, K, L):
+    """The partial sum one term at a time: term *= base and acc += term, L - 1
+    times from term = acc = base, then divided by N - 2."""
+    base = (n_particles - 2.0) / (n_particles - 1.0) * np.asarray(g.fourier(np.arange(K + 1)))
+    term = base.copy()
+    acc = term.copy()
+    for _ in range(L - 1):
+        term = term * base
+        acc += term
+    return acc / (n_particles - 2.0)
+
+
+class SignedCoefficients:
+    """A stand-in noise whose coefficients hold signed zeros, negative values and
+    subnormals, which the series sums like any others."""
+
+    def fourier(self, k):
+        values = [1.0, -0.0, 0.0, -0.5, 0.5, -1e-300, 1e-300, -0.99, 0.3, 5e-324, -5e-324]
+        return np.resize(values, len(k))
 
 
 def point_noise(M=8):
@@ -147,6 +169,34 @@ class TestSeries:
         g = WrappedNormalNoise(0.2)
         prof, _ = pair_correlation_series(g, 3, 64, L=34)
         assert_allclose(prof.fhat, grid_series_profile(g, 3, 64, 34), rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("n", [3, 10, 100])
+    @pytest.mark.parametrize("K", [1, 64])
+    @pytest.mark.parametrize("var", [0.1, 1.0])
+    def test_blocks_sum_like_the_loop_bit_for_bit(self, n, K, var):
+        g = WrappedNormalNoise(var)
+        L = series_terms_for(n, 1e-10)
+        prof, _ = pair_correlation_series(g, n, K, tol=1e-10)
+        assert prof.fhat.tobytes() == loop_series(g, n, K, L).tobytes()
+
+    def test_many_blocks_sum_like_the_loop_bit_for_bit(self):
+        # a block holds at most SERIES_BLOCK terms of one mode, so mode 0 (never
+        # 0) takes at least three blocks to reach L
+        g = WrappedNormalNoise(0.1)
+        L = series_terms_for(1000, 1e-10)
+        assert L == 22992 and L > 2 * SERIES_BLOCK
+        prof, _ = pair_correlation_series(g, 1000, 64, L=L)
+        assert prof.fhat.tobytes() == loop_series(g, 1000, 64, L).tobytes()
+
+    @pytest.mark.parametrize("K", [40, 2 * SERIES_BLOCK])
+    @pytest.mark.parametrize("L", [1, 2, 3, 50])
+    def test_signed_zeros_and_negative_terms_like_the_loop(self, K, L):
+        # a mode whose term reaches 0 leaves the blocks only once the zeros that
+        # follow cannot change its sum's bits: not while the sum is -0.0, which a
+        # +0.0 term makes +0.0 (with more modes than SERIES_BLOCK, a block is one term)
+        for n in (3, 100):
+            prof, _ = pair_correlation_series(SignedCoefficients(), n, K, L=L)
+            assert prof.fhat.tobytes() == loop_series(SignedCoefficients(), n, K, L).tobytes()
 
     def test_rejects_n2_and_bad_truncation(self):
         with pytest.raises(ValueError, match="series"):

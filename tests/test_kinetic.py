@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -14,8 +19,10 @@ from pairjump.circle import (
 from pairjump.diagnostics import summarize
 from pairjump.kinetic import (
     RATE_FACTOR,
+    ROW_DOT_MAX,
     KineticConfig,
     _Pushforward,
+    _row_dots,
     bdg_evolve,
     bdg_gain,
     bisector_tables,
@@ -291,6 +298,42 @@ class TestPushforward:
                for M in (256, 512)}
         assert 3.5 <= err[256] / err[512] <= 4.5
         assert err[512] < 5e-5
+
+
+ROW_DOTS_PROBE = """
+import numpy as np
+from pairjump.kinetic import _row_dots
+a, b = np.random.default_rng(7).random((2, 8, 20001))
+print(_row_dots(a, b, np.empty((8, 1, 1))).tobytes().hex())
+"""
+
+
+class TestRowDots:
+    def test_long_rows_are_dotted_in_parts_added_left_to_right(self):
+        a, b = np.random.default_rng(7).random((2, 8, 20001))
+        assert ROW_DOT_MAX == 8192
+        want = [(x[:8192] @ y[:8192] + x[8192:16384] @ y[8192:16384]) + x[16384:] @ y[16384:]
+                for x, y in zip(a, b)]
+        got = _row_dots(a, b, np.empty((8, 1, 1)))
+        assert got.tobytes() == np.array(want).tobytes()
+        assert_allclose(got, np.einsum("ij,ij->i", a, b), rtol=1e-13)
+
+    def test_short_rows_are_one_dot(self):
+        a, b = np.random.default_rng(8).random((2, 5, ROW_DOT_MAX))
+        got = _row_dots(a, b, np.empty((5, 1, 1)))
+        want = np.matmul(a[:, None, :], b[:, :, None]).ravel()
+        assert got.tobytes() == want.tobytes()
+
+    def test_bits_do_not_depend_on_the_blas_thread_count(self):
+        # OpenBLAS splits a dot of more than 10^4 entries across its threads
+        src = Path(__file__).resolve().parents[1] / "src"
+        hexes = set()
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(src), env.get("PYTHONPATH"))))
+            hexes.add(subprocess.run([sys.executable, "-c", ROW_DOTS_PROBE], env=env, check=True,
+                                     capture_output=True, text=True, timeout=60).stdout.strip())
+        assert len(hexes) == 1
 
 
 class TestGain:

@@ -148,6 +148,34 @@ def colex_multisets(k, M):
     return sorted(itertools.combinations_with_replacement(range(M), k), key=lambda t: t[::-1])
 
 
+def summed_take_out(k, M, n_seeds, rule):
+    """A take-out factor as a running sum of CSR matrices, one per particle j and
+    rule branch with one entry a row, ranked through the colex listing: each sum
+    adds a column's entries in that order and drops the zeros."""
+    states = colex_multisets(k, M)
+    rank = {t: r for r, t in enumerate(colex_multisets(k - 1, M))}
+    X = np.array(states, dtype=np.int32).reshape(len(states), k).T
+    n_rows, out = len(states) * n_seeds, 0
+    for j in range(k):
+        rest = np.array([rank[t[:j] + t[j + 1:]] for t in states], dtype=np.int32)
+        for m, w in rule(np.arange(n_seeds), X[j][:, None]):
+            cols, vals = np.broadcast_arrays(rest[:, None] * M + m, np.divide(w, k))
+            out = out + sp.csr_matrix((vals.ravel(), cols.ravel(), np.arange(n_rows + 1)),
+                                      shape=(n_rows, len(rank) * M))
+    return out
+
+
+def summed_factors(model, N, M):
+    """The four factors, the two that take a particle out from summed_take_out."""
+    if model.kind == "cl":
+        rule = lambda a, b: [(a, 1.0)]  # noqa: E731
+    else:
+        lo, hi, w_hi = bisector_tables(M)
+        rule = lambda a, b: [(lo[a, b], 1.0 - w_hi[a, b]), (hi[a, b], w_hi[a, b])]  # noqa: E731
+    return [summed_take_out(N, M, 1, lambda a, b: [(b, 1.0)]), summed_take_out(N - 1, M, M, rule),
+            *_factors(model, N, M)[2:]]
+
+
 class TestPairFactors:
     # a jump is two particles out and two in: P = out1 @ out2 @ in1 @ in2
     @pytest.mark.parametrize("kind", ["cl", "bdg"])
@@ -173,6 +201,32 @@ class TestPairFactors:
         tm = build_transition(model, N, M)
         held = tm.n_states * N + sum(f.nnz for f in factors) + tm.out.nnz + tm.into.nnz
         assert held <= _stored_entries(kind, N, M)
+
+    @pytest.mark.parametrize("kind", ["cl", "bdg"])
+    @pytest.mark.parametrize("N, M", [(2, 4), (3, 16), (4, 8), (5, 8), (12, 2), (9, 4)])
+    def test_take_out_factors_match_the_summed_build_byte_for_byte(self, kind, N, M):
+        # one CSR build per factor: particles on one cell share a slot, whose
+        # weights add in particle order as the running sum adds them (cl 12x2 and
+        # 9x4 have runs of up to 12 equal cells)
+        model = ModelSpec(kind, tabulated_wn(0.5, M))
+        got, want = _factors(model, N, M), summed_factors(model, N, M)
+        for f, ref in zip(got[:2], want[:2]):
+            assert f.format == "csr" and f.shape == ref.shape and f.has_canonical_format
+            for name in ("indptr", "indices", "data"):
+                a, b = getattr(f, name), getattr(ref, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        for f in got:
+            assert np.all(f.data != 0.0)  # no stored zeros, such as bdg's w_hi = 0 branch
+
+    @pytest.mark.parametrize("kind", ["cl", "bdg"])
+    @pytest.mark.parametrize("N, M", [(3, 16), (4, 8)])
+    def test_reference_stationary_law_matches_the_summed_build(self, kind, N, M):
+        model = ModelSpec(kind, tabulated_wn(0.5, M))
+        out1, out2, in1, in2 = summed_factors(model, N, M)
+        want = stationary(oracle.TransitionMatrix(N, M, (out1 @ out2).tocsc(),
+                                                  (in1 @ in2).tocsc()))
+        got = stationary(build_transition(model, N, M))
+        assert got.weights.tobytes() == want.weights.tobytes()
 
     @pytest.mark.parametrize("M", [4, 8])
     @pytest.mark.parametrize("k", [0, 1, 2, 3])
@@ -620,6 +674,13 @@ class TestJointDensity:
         X = oracle._multisets(2, 3)
         assert X.T.tolist() == [[0, 0], [0, 1], [1, 1], [0, 2], [1, 2], [2, 2]]
         assert_array_equal(oracle._rank(X, 3), np.arange(6))
+
+    @pytest.mark.parametrize("N, M", [(0, 5), (1, 4), (3, 4), (4, 8), (2, 16), (6, 3)])
+    def test_listing_is_the_sorted_colex_order(self, N, M):
+        X = oracle._multisets(N, M)
+        assert X.dtype == np.int32 and X.shape == (N, math.comb(M + N - 1, N))
+        assert [tuple(c) for c in X.T.tolist()] == colex_multisets(N, M)
+        assert_array_equal(oracle._rank(X, M), np.arange(X.shape[1]))
 
     def test_product_layout(self):
         # the multinomial, in rank order
